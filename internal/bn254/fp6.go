@@ -103,14 +103,6 @@ func (z *Fp6) MulByV(x *Fp6) *Fp6 {
 	return z
 }
 
-// MulByFp2 sets z = x * c for an Fp2 scalar c and returns z.
-func (z *Fp6) MulByFp2(x *Fp6, c *Fp2) *Fp6 {
-	z.B0.Mul(&x.B0, c)
-	z.B1.Mul(&x.B1, c)
-	z.B2.Mul(&x.B2, c)
-	return z
-}
-
 // Inverse sets z = x⁻¹ (or 0 when x == 0) and returns z.
 func (z *Fp6) Inverse(x *Fp6) *Fp6 {
 	// Standard cubic-extension inversion:

@@ -1,8 +1,8 @@
 package bn254
 
-// Sparse Miller-loop machinery. The naive pairing in pairing.go untwists G2
-// points into E(Fp12) and works with full Fp12 arithmetic everywhere. This
-// file exploits the structure that untwisting creates: with
+// Sparse Miller-loop machinery. The naive reference pairing (test-only, in
+// pairing_naive_test.go) untwists G2 points into E(Fp12) and works with
+// full Fp12 arithmetic everywhere. This file exploits the structure that untwisting creates: with
 // ψ(x', y') = (x'·w², y'·w³), every intermediate point T in the Miller loop
 // keeps its x-coordinate at w² and its y-coordinate at w³, the slope λ sits
 // at w¹, and the evaluated line
@@ -22,7 +22,7 @@ package bn254
 // affine loop (the group law and line values are order-independent modular
 // arithmetic, and all representations are canonical), the sparse and
 // precomputed paths are bit-identical to the naive ones — a property pinned
-// by tests in pairing_test.go.
+// by tests in pairing_sparse_test.go.
 
 // stepKind discriminates the three shapes a Miller-loop line can take.
 type stepKind uint8

@@ -209,3 +209,40 @@ func BenchmarkEventsByName(b *testing.B) {
 		})
 	}
 }
+
+// eventsByNameScan is the pre-index implementation — an O(total receipts)
+// walk over every block — kept here as the reference the index is tested
+// and benchmarked against.
+func (c *Chain) eventsByNameScan(contract, name string) []Event {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var out []Event
+	// Walk blocks then the pending set, preserving order.
+	appendFrom := func(h Hash) {
+		out = c.appendEventsFromLocked(out, h, contract, name)
+	}
+	for _, b := range c.blocks {
+		for _, h := range b.TxHashes {
+			appendFrom(h)
+		}
+	}
+	for _, h := range c.pending {
+		appendFrom(h)
+	}
+	return out
+}
+
+// appendEventsFromLocked appends tx h's events matching (contract, name) to
+// out; caller holds c.mu.
+func (c *Chain) appendEventsFromLocked(out []Event, h Hash, contract, name string) []Event {
+	r, ok := c.receipts[h]
+	if !ok {
+		return out
+	}
+	for _, ev := range r.Logs {
+		if ev.Contract == contract && ev.Name == name {
+			out = append(out, ev)
+		}
+	}
+	return out
+}

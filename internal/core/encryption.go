@@ -98,13 +98,6 @@ func (s *System) EncryptAndProve(data Dataset, key fr.Element) (*EncryptionState
 	return st, w, ct, proof, nil
 }
 
-// ProveEncryption produces π_e for an existing statement/witness pair
-// (e.g. re-proving after the statement was reconstructed from chain data).
-func (s *System) ProveEncryption(st *EncryptionStatement, w *EncryptionWitness) (*plonk.Proof, error) {
-	proof, _, err := s.prove(encryptionKey(len(w.Data)), buildEncryptionCircuit(st, w))
-	return proof, err
-}
-
 // VerifyEncryption checks π_e against a public statement.
 func (s *System) VerifyEncryption(st *EncryptionStatement, proof *plonk.Proof) error {
 	n := len(st.Ciphertext)

@@ -65,16 +65,6 @@ func NewFromInt64(v int64) Element {
 // FromBig returns b mod r.
 func FromBig(b *big.Int) Element { return Element{v: field.FromBig(b)} }
 
-// MustFromDecimal parses a base-10 literal; it panics on malformed input and
-// is intended for compile-time constants.
-func MustFromDecimal(s string) Element {
-	b, ok := new(big.Int).SetString(s, 10)
-	if !ok {
-		panic("fr: invalid decimal literal " + s)
-	}
-	return FromBig(b)
-}
-
 // FromBytes interprets b as a big-endian integer and reduces it mod r.
 func FromBytes(b []byte) Element { return Element{v: field.FromBytes(b)} }
 

@@ -113,3 +113,118 @@ func digestProofForTest(p *Proof) []byte {
 	}
 	return h.Sum(nil)
 }
+
+// extendedGoldens pin lookup and custom-gate keys and proofs the same way
+// classicGoldens pin classic ones. They were captured from the two-prover
+// implementation (separate classic and extended provers, commit 6f7b88e)
+// before the two were merged into one round pipeline, with blinding pinned
+// to the same seeded stream.
+var extendedGoldens = map[string]struct{ vk, proof string }{
+	"lookup":   {"507f13c525136b0d42dba98d45ab907c36ec9de0ee0906a9240771a553548a41", "88afae2b4e7793eee46c16eb854ed8bea7a8b2e3e2aebf9ddb4fefa0cec4ce24"},
+	"mimc":     {"6519150941ebee16b5618ba120ca5a31ed6bccfefa4cb33b53e9c198c1068af7", "35de77849dd60dd96c961b52233cb232d908d36d7dc335cfb0fce6a2b1895d6b"},
+	"poseidon": {"00775f8561af70b75e80ac7fb5feed49ff83707a5037b708abe914d7cdfceb0b", "0209d498be151ddbe354933f7ff13777f8c4683bf0a955631a60ce4711818c36"},
+	"mixed":    {"eca323ce62d4e0d952f7d1173b0ac71aa5db93d31679dafc8141f4b280b52104", "e914b2178cc43b31fdad507572f05208a391d938719290a63e4c27b9383a3c82"},
+}
+
+func TestExtendedProverBitIdentity(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		build func() (*ConstraintSystem, []fr.Element)
+	}{
+		{"lookup", func() (*ConstraintSystem, []fr.Element) {
+			return buildLookupCircuit(8, []uint64{0, 1, 42, 42, 255, 128})
+		}},
+		{"mimc", func() (*ConstraintSystem, []fr.Element) { return buildMiMCCustomCircuit(5) }},
+		{"poseidon", func() (*ConstraintSystem, []fr.Element) { return buildPoseidonCustomCircuit(6) }},
+		{"mixed", buildMixedCircuit},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cs, witness := tc.build()
+			pk, vk, err := Setup(cs, testSRSOnce())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !vk.Extended {
+				t.Fatal("want an extended key")
+			}
+			want := extendedGoldens[tc.name]
+			if got := hex.EncodeToString(digestExtVKForTest(vk)); got != want.vk {
+				t.Errorf("extended verifying key drifted:\n got %s\nwant %s", got, want.vk)
+			}
+			restore := randScalar
+			randScalar = seededScalarsForTest(0x90_1d)
+			proof, err := Prove(pk, witness)
+			randScalar = restore
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := Verify(vk, proof, witness[:cs.NbPublic()]); err != nil {
+				t.Fatalf("pinned proof rejected: %v", err)
+			}
+			if got := hex.EncodeToString(digestExtProofForTest(proof)); got != want.proof {
+				t.Errorf("extended proof drifted:\n got %s\nwant %s", got, want.proof)
+			}
+		})
+	}
+}
+
+// digestExtVKForTest extends digestVKForTest with the lookup/custom-gate
+// shape, table size, Poseidon MDS matrix and the eight extension
+// commitments.
+func digestExtVKForTest(vk *VerifyingKey) []byte {
+	h := sha256.New()
+	h.Write(digestVKForTest(vk))
+	var u [8]byte
+	var flags uint64
+	if vk.Extended {
+		flags |= 1
+	}
+	if vk.Custom {
+		flags |= 2
+	}
+	binary.BigEndian.PutUint64(u[:], flags)
+	h.Write(u[:])
+	binary.BigEndian.PutUint64(u[:], uint64(vk.TableBits))
+	h.Write(u[:])
+	for l := range vk.MDS {
+		for j := range vk.MDS[l] {
+			b := vk.MDS[l][j].Bytes()
+			h.Write(b[:])
+		}
+	}
+	for _, p := range []interface{ Bytes() [64]byte }{
+		&vk.QLk, &vk.Tbl, &vk.QMimc, &vk.QPosF, &vk.QPosP, &vk.KC0, &vk.KC1, &vk.KC2,
+	} {
+		b := p.Bytes()
+		h.Write(b[:])
+	}
+	return h.Sum(nil)
+}
+
+// digestExtProofForTest extends digestProofForTest with the LogUp
+// commitments, the extra quotient pieces and every extension evaluation.
+func digestExtProofForTest(p *Proof) []byte {
+	h := sha256.New()
+	h.Write(digestProofForTest(p))
+	pts := []interface{ Bytes() [64]byte }{&p.M, &p.H, &p.S}
+	for i := range p.TExtra {
+		pts = append(pts, &p.TExtra[i])
+	}
+	for _, pt := range pts {
+		b := pt.Bytes()
+		h.Write(b[:])
+	}
+	e := p.Evals.Ext
+	scalars := []fr.Element{
+		e.M, e.H, e.S,
+		e.SOmega, e.AOmega, e.BOmega, e.COmega,
+		e.QLk, e.Tbl, e.QMimc, e.QPosF, e.QPosP,
+		e.K0, e.K1, e.K2,
+	}
+	scalars = append(scalars, e.TExtra...)
+	for i := range scalars {
+		b := scalars[i].Bytes()
+		h.Write(b[:])
+	}
+	return h.Sum(nil)
+}

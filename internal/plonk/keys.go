@@ -24,31 +24,29 @@ const (
 // and the SRS.
 type ProvingKey struct {
 	Domain *poly.Domain
-	// Domain4 is the 4n coset evaluation domain used by the round-3
-	// quotient build. It is preprocessed here so repeated proofs (the
-	// marketplace/exchange flows in internal/core prove against one key
-	// many times) don't pay domain construction — and, via the domain's
-	// lazy caches, re-derive twiddle/coset tables — per proof.
-	Domain4 *poly.Domain
-	SRS     *kzg.SRS
+	SRS    *kzg.SRS
+	// quotientDomain is the coset evaluation domain of the round-3
+	// quotient: 4n, or 8n when custom gates' degree-5 S-boxes push the
+	// numerator past the 4n coset. It is preprocessed here so repeated
+	// proofs (the marketplace/exchange flows in internal/core prove
+	// against one key many times) don't pay domain construction — and,
+	// via the domain's lazy caches, re-derive twiddle/coset tables — per
+	// proof.
+	quotientDomain *poly.Domain
 
 	// Selector polynomials qL, qR, qO, qM, qC in coefficient form.
 	QL, QR, QO, QM, QC poly.Polynomial
 	// Permutation polynomials sσ1, sσ2, sσ3 in coefficient form.
 	S1, S2, S3 poly.Polynomial
 
-	// Lookup/custom-gate preprocessing (nil/zero for classic circuits).
-	// Domain8 is the 8n coset domain custom-gate quotients need (degree-5
-	// S-box constraints exceed the classic 4n coset); QLk is the lookup
-	// selector, Tbl the range-table polynomial, QMimc/QPosF/QPosP the
-	// custom-gate selectors and KC0..KC2 the per-row round-constant
-	// columns.
-	Domain8                       *poly.Domain
+	// Lookup/custom-gate preprocessing (nil/zero for classic circuits):
+	// QLk is the lookup selector, Tbl the range-table polynomial,
+	// QMimc/QPosF/QPosP the custom-gate selectors and KC0..KC2 the per-row
+	// round-constant columns. extended and custom pick the prover's shape.
 	QLk, Tbl, QMimc, QPosF, QPosP poly.Polynomial
 	KC0, KC1, KC2                 poly.Polynomial
 	extended, custom              bool
 	tableBits                     int
-	mds                           [3][3]fr.Element
 
 	// sigma maps each of the 3n wire slots to its permuted slot's field
 	// label; used when building the grand-product polynomial z.
@@ -154,17 +152,15 @@ func Setup(cs *ConstraintSystem, srs *kzg.SRS) (*ProvingKey, *VerifyingKey, erro
 	if err != nil {
 		return nil, nil, fmt.Errorf("plonk: %w", err)
 	}
-	domain4, err := poly.NewDomain(4 * n)
+	// The quotient's coset domain is 4n; custom gates' degree-5 S-boxes
+	// push the numerator past it, so their keys evaluate on 8n.
+	cosetFactor := uint64(4)
+	if cs.hasCustom {
+		cosetFactor = 8
+	}
+	quotientDomain, err := poly.NewDomain(cosetFactor * n)
 	if err != nil {
 		return nil, nil, fmt.Errorf("plonk: %w", err)
-	}
-	var domain8 *poly.Domain
-	if cs.hasCustom {
-		// Degree-5 S-box constraints push the quotient numerator past the
-		// 4n coset; custom-gate circuits evaluate on an 8n coset.
-		if domain8, err = poly.NewDomain(8 * n); err != nil {
-			return nil, nil, fmt.Errorf("plonk: %w", err)
-		}
 	}
 	if srs.MaxDegree() < int(n)+8 {
 		return nil, nil, fmt.Errorf("%w: srs supports degree %d, circuit needs %d",
@@ -285,28 +281,26 @@ func Setup(cs *ConstraintSystem, srs *kzg.SRS) (*ProvingKey, *VerifyingKey, erro
 		return c
 	}
 	pk := &ProvingKey{
-		Domain:     domain,
-		Domain4:    domain4,
-		SRS:        srs,
-		QL:         toPoly(qL),
-		QR:         toPoly(qR),
-		QO:         toPoly(qO),
-		QM:         toPoly(qM),
-		QC:         toPoly(qC),
-		S1:         toPoly(s1),
-		S2:         toPoly(s2),
-		S3:         toPoly(s3),
-		sigmaLabel: sigmaLabel,
-		gates:      append([]Gate(nil), cs.gates...),
-		nbPublic:   cs.nbPublic,
-		nbVars:     cs.nbVariables,
+		Domain:         domain,
+		SRS:            srs,
+		quotientDomain: quotientDomain,
+		QL:             toPoly(qL),
+		QR:             toPoly(qR),
+		QO:             toPoly(qO),
+		QM:             toPoly(qM),
+		QC:             toPoly(qC),
+		S1:             toPoly(s1),
+		S2:             toPoly(s2),
+		S3:             toPoly(s3),
+		sigmaLabel:     sigmaLabel,
+		gates:          append([]Gate(nil), cs.gates...),
+		nbPublic:       cs.nbPublic,
+		nbVars:         cs.nbVariables,
 	}
 	if extended {
-		pk.Domain8 = domain8
 		pk.extended = true
 		pk.custom = cs.hasCustom
 		pk.tableBits = cs.tableBits
-		pk.mds = cs.mds
 		pk.QLk = toPoly(qLk)
 		pk.Tbl = toPoly(tbl)
 		pk.QMimc = toPoly(qMimc)

@@ -6,10 +6,16 @@ import (
 	"github.com/zkdet/zkdet/internal/fr"
 )
 
-// This file holds the machinery shared by the extended prover and verifier:
-// the point-wise evaluation of the aggregated constraint numerator (the
-// same formula runs on every coset point in the prover and once at ζ in
-// the verifier), and the LogUp witness builder.
+// This file holds the constraint numerator that prover and verifier share
+// (the same formula runs on every coset point in the prover and once at ζ
+// in the verifier) and the LogUp witness builder. Every key checks the
+// classic constraints
+//
+//	C0: qL·a + qR·b + qO·c + qM·a·b + qC + PI = 0
+//	C1: the permutation argument over z
+//	C2: L_1(x)·(z(x) − 1) = 0
+//
+// and extended keys (lookups or custom gates) add C3–C13 below.
 //
 // The lookup argument is the log-derivative ("LogUp") formulation: for the
 // range table T and the a-wire column a, with qLk the lookup selector and
@@ -33,8 +39,9 @@ import (
 // lanes, C9–C11 Poseidon partial lanes, C12–C13 MiMC.
 const nbAlphaPowers = 14
 
-// extPointVals carries every polynomial's value at one evaluation point.
-type extPointVals struct {
+// pointVals carries every polynomial's value at one evaluation point. The
+// extension fields stay zero for classic keys, which never read them.
+type pointVals struct {
 	x                      fr.Element // the point itself
 	a, b, c                fr.Element
 	aw, bw, cw             fr.Element // wires at ω·x (next row)
@@ -48,13 +55,30 @@ type extPointVals struct {
 	l1                     fr.Element // L_1(x)
 }
 
-// extChallenges bundles the transcript challenges and fixed key data the
-// constraint evaluation needs.
-type extChallenges struct {
+// challenges bundles the transcript challenges and fixed key data the
+// constraint evaluation needs. extended is the key's shape: it selects
+// whether the numerator includes C3–C13.
+type challenges struct {
 	beta, gamma, betaL fr.Element
 	alphaPow           []fr.Element // α^0 … α^13
 	k1, k2             fr.Element   // permutation coset multipliers
 	mds                [3][3]fr.Element
+	extended           bool
+}
+
+// newChallenges starts the challenge set for a key; the transcript
+// schedule fills in β, γ, β_L and the α powers.
+func newChallenges(vk *VerifyingKey) *challenges {
+	return &challenges{k1: vk.K1, k2: vk.K2, mds: vk.MDS, extended: vk.Extended}
+}
+
+// quotientPieces is the number of degree-n pieces t is split into: custom
+// gates' degree-5 S-boxes push the quotient past 3n.
+func quotientPieces(custom bool) int {
+	if custom {
+		return 6
+	}
+	return 3
 }
 
 // pow5 sets out = t^5.
@@ -65,10 +89,11 @@ func pow5(out, t *fr.Element) {
 	out.Mul(&t2, t)
 }
 
-// extNumerator evaluates the aggregated constraint numerator
-// Σ_k α^k·C_k at one point. The prover divides this by Z_H on the coset;
-// the verifier compares it against t(ζ)·Z_H(ζ).
-func extNumerator(p *extPointVals, ch *extChallenges) fr.Element {
+// numerator evaluates the aggregated constraint numerator Σ_k α^k·C_k at
+// one point: C0–C2 for classic keys, C0–C13 for extended ones. The prover
+// divides this by Z_H on the coset; the verifier compares it against
+// t(ζ)·Z_H(ζ).
+func numerator(p *pointVals, ch *challenges) fr.Element {
 	var acc, t, t2 fr.Element
 
 	// C0: gate + public input.
@@ -126,6 +151,9 @@ func extNumerator(p *extPointVals, ch *extChallenges) fr.Element {
 	t.Mul(&t, &p.l1)
 	t.Mul(&t, &ch.alphaPow[2])
 	acc.Add(&acc, &t)
+	if !ch.extended {
+		return acc
+	}
 
 	// C3: H·(βL+a)·(βL+T) − qLk·(βL+T) + M·(βL+a).
 	var la, lt fr.Element

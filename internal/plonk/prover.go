@@ -80,25 +80,8 @@ type ExtEvals struct {
 	TExtra                         []fr.Element
 }
 
-// zetaList returns the extension evaluations at ζ in the canonical folding
-// order, appended after the classic evalList.
-func (e *ExtEvals) zetaList() []fr.Element {
-	out := []fr.Element{
-		e.M, e.H, e.S,
-		e.QLk, e.Tbl, e.QMimc, e.QPosF, e.QPosP,
-		e.K0, e.K1, e.K2,
-	}
-	return append(out, e.TExtra...)
-}
-
-// omegaList returns the evaluations opened at ζω beyond the classic
-// z(ζω), in the canonical folding order.
-func (e *ExtEvals) omegaList() []fr.Element {
-	return []fr.Element{e.SOmega, e.AOmega, e.BOmega, e.COmega}
-}
-
-// evalList returns the evaluations at ζ in the canonical folding order used
-// by both prover and verifier for the batched KZG opening.
+// evalList returns the classic evaluations at ζ in the canonical folding
+// order.
 func (e *ProofEvals) evalList() []fr.Element {
 	return []fr.Element{
 		e.A, e.B, e.C, e.Z,
@@ -106,6 +89,32 @@ func (e *ProofEvals) evalList() []fr.Element {
 		e.S1, e.S2, e.S3,
 		e.TLo, e.TMid, e.THi,
 	}
+}
+
+// zetaEvals returns every evaluation opened at ζ in the canonical folding
+// order shared by prover and verifier: the classic evalList, then for
+// extended proofs the LogUp columns, extension selectors, round constants
+// and extra quotient pieces.
+func (e *ProofEvals) zetaEvals() []fr.Element {
+	out := e.evalList()
+	if x := e.Ext; x != nil {
+		out = append(out,
+			x.M, x.H, x.S,
+			x.QLk, x.Tbl, x.QMimc, x.QPosF, x.QPosP,
+			x.K0, x.K1, x.K2)
+		out = append(out, x.TExtra...)
+	}
+	return out
+}
+
+// omegaEvals returns every evaluation opened at ζω in the canonical
+// folding order: z, then for extended proofs S, a, b, c.
+func (e *ProofEvals) omegaEvals() []fr.Element {
+	out := []fr.Element{e.ZOmega}
+	if x := e.Ext; x != nil {
+		out = append(out, x.SOmega, x.AOmega, x.BOmega, x.COmega)
+	}
+	return out
 }
 
 // bindTranscript absorbs the verifying key and public inputs so challenges
@@ -141,18 +150,59 @@ func bindTranscript(t *transcript.Transcript, vk *VerifyingKey, public []fr.Elem
 	}
 }
 
-// coset4 returns the preprocessed 4n coset domain, building it only for
-// proving keys that predate the Domain4 field (hand-constructed in tests).
-func coset4(pk *ProvingKey) (*poly.Domain, error) {
-	if pk.Domain4 != nil {
-		return pk.Domain4, nil
+// The transcript schedule, shared by Prove and prepare: each step absorbs
+// one round's commitments and squeezes that round's challenges. Extended
+// proofs (Evals.Ext set) add [M] and β_L, [H] and [S], the extra quotient
+// pieces and the extra ζω openings; a classic proof absorbs none of them,
+// so its transcript is the pre-lookup one.
+
+// absorbWires absorbs [a], [b], [c] (and [M]) and squeezes β, γ (and β_L).
+func (p *Proof) absorbWires(tr *transcript.Transcript, ch *challenges) {
+	tr.AppendPoint("a", &p.A)
+	tr.AppendPoint("b", &p.B)
+	tr.AppendPoint("c", &p.C)
+	ext := p.Evals.Ext != nil
+	if ext {
+		tr.AppendPoint("m", &p.M)
 	}
-	d, err := poly.NewDomain(4 * pk.Domain.N)
-	if err != nil {
-		return nil, fmt.Errorf("plonk: %w", err)
+	ch.beta = tr.ChallengeScalar("beta")
+	ch.gamma = tr.ChallengeScalar("gamma")
+	if ext {
+		ch.betaL = tr.ChallengeScalar("beta_l")
 	}
-	pk.Domain4 = d
-	return d, nil
+}
+
+// absorbProducts absorbs [z] (and [H], [S]) and squeezes the α powers.
+func (p *Proof) absorbProducts(tr *transcript.Transcript, ch *challenges) {
+	tr.AppendPoint("z", &p.Z)
+	if p.Evals.Ext != nil {
+		tr.AppendPoint("h", &p.H)
+		tr.AppendPoint("s", &p.S)
+	}
+	alpha := tr.ChallengeScalar("alpha")
+	ch.alphaPow = fr.Powers(&alpha, nbAlphaPowers)
+}
+
+// absorbQuotient absorbs the quotient pieces and squeezes ζ.
+func (p *Proof) absorbQuotient(tr *transcript.Transcript) fr.Element {
+	tr.AppendPoint("t_lo", &p.TLo)
+	tr.AppendPoint("t_mid", &p.TMid)
+	tr.AppendPoint("t_hi", &p.THi)
+	for i := range p.TExtra {
+		tr.AppendPoint(fmt.Sprintf("t_%d", i+3), &p.TExtra[i])
+	}
+	return tr.ChallengeScalar("zeta")
+}
+
+// absorbEvals absorbs the claimed evaluations and squeezes v.
+func (p *Proof) absorbEvals(tr *transcript.Transcript) fr.Element {
+	ev := &p.Evals
+	tr.AppendScalars("evals", ev.zetaEvals())
+	tr.AppendScalar("z_omega", &ev.ZOmega)
+	if ev.Ext != nil {
+		tr.AppendScalars("evals-omega-ext", ev.omegaEvals()[1:])
+	}
+	return tr.ChallengeScalar("v")
 }
 
 // foldPolys returns ∑ coeffs[k]·ps[k] in a single pass, range-splitting the
@@ -181,31 +231,60 @@ func foldPolys(ps []poly.Polynomial, coeffs []fr.Element) poly.Polynomial {
 	return out
 }
 
+// blind interpolates evals over the domain and adds nbBlinds random
+// coefficients times (X^n − 1), hiding as many evaluations of the
+// polynomial outside the domain.
+func blind(d *poly.Domain, evals []fr.Element, nbBlinds int) (poly.Polynomial, error) {
+	n := int(d.N)
+	p := make(poly.Polynomial, n+nbBlinds)
+	copy(p, evals)
+	if err := d.IFFT(p[:n]); err != nil {
+		return nil, err
+	}
+	for j := 0; j < nbBlinds; j++ {
+		bj := randScalar()
+		p[j].Sub(&p[j], &bj)
+		p[n+j].Add(&p[n+j], &bj)
+	}
+	return p, nil
+}
+
+// opening pairs a polynomial with the slot its claimed evaluation goes to.
+type opening struct {
+	p   poly.Polynomial
+	out *fr.Element
+}
+
+// foldOpenings returns the v-fold ∑ v^k·p_k of the opened polynomials.
+func foldOpenings(os []opening, v *fr.Element) poly.Polynomial {
+	ps := make([]poly.Polynomial, len(os))
+	for k := range os {
+		ps[k] = os[k].p
+	}
+	return foldPolys(ps, fr.Powers(v, len(ps)))
+}
+
 // Prove produces a proof that the witness satisfies the preprocessed
 // circuit. The witness assigns every variable; its first NbPublic entries
 // must equal the public inputs passed to Verify.
 //
-// Circuits using lookups or custom gates take the extended path; all
-// others run the classic prover, byte-for-byte identical to the
-// pre-lookup implementation (pinned by TestClassicProverBitIdentity).
-func Prove(pk *ProvingKey, witness []fr.Element) (*Proof, error) {
-	if pk.extended {
-		return proveExtended(pk, witness)
-	}
-	return proveClassic(pk, witness)
-}
-
-// proveClassic is the original evaluate-everything Plonk prover.
+// One five-round pipeline serves every key shape. A classic key is its
+// degenerate shape: no lookup columns [M], [H], [S], no extra quotient
+// pieces, no ζω openings beyond z, and only constraints C0–C2 in the
+// quotient, evaluated over 13 coset columns. Extended keys (lookups or
+// custom gates) add the LogUp columns, the next-row openings at ζω and
+// constraints C3–C13; custom-gate keys also move the quotient to an 8n
+// coset in 6 pieces. TestClassicProverBitIdentity and
+// TestExtendedProverBitIdentity pin both shapes byte for byte.
 //
-// Every O(n) and O(4n) loop below is range-split across the bounded worker
-// pool; the only serial remainders are the grand-product prefix scan and
-// the transcript, which are inherently sequential.
-func proveClassic(pk *ProvingKey, witness []fr.Element) (*Proof, error) {
+// Every O(n) and O(kn) loop is range-split across the bounded worker
+// pool; the only serial remainders are the prefix scans of the grand
+// product and running sum, and the transcript.
+func Prove(pk *ProvingKey, witness []fr.Element) (*Proof, error) {
 	if len(witness) != pk.nbVars {
 		return nil, fmt.Errorf("%w: got %d, want %d", ErrWitnessLength, len(witness), pk.nbVars)
 	}
 	n := pk.Domain.N
-	nInt := int(n)
 	public := make([]fr.Element, pk.nbPublic)
 	copy(public, witness[:pk.nbPublic])
 
@@ -213,7 +292,7 @@ func proveClassic(pk *ProvingKey, witness []fr.Element) (*Proof, error) {
 	aV := make([]fr.Element, n)
 	bV := make([]fr.Element, n)
 	cV := make([]fr.Element, n)
-	parallel.Execute(nInt, func(start, end int) {
+	parallel.Execute(int(n), func(start, end int) {
 		for i := start; i < end; i++ {
 			var g Gate // padding rows wire to variable 0 with all selectors zero
 			if i < len(pk.gates) {
@@ -226,99 +305,206 @@ func proveClassic(pk *ProvingKey, witness []fr.Element) (*Proof, error) {
 	})
 
 	// Public-input polynomial: PI(ω^i) = -x_i.
-	piEvals := make([]fr.Element, n)
-	for i := range public {
-		piEvals[i].Neg(&public[i])
-	}
 	piPoly := make(poly.Polynomial, n)
-	copy(piPoly, piEvals)
+	for i := range public {
+		piPoly[i].Neg(&public[i])
+	}
 	if err := pk.Domain.IFFT(piPoly); err != nil {
 		return nil, err
 	}
 
-	// Round 1: blinded wire polynomials and their commitments.
-	blindWire := func(evals []fr.Element) (poly.Polynomial, error) {
-		p := make(poly.Polynomial, n+2)
-		copy(p, evals)
-		if err := pk.Domain.IFFT(p[:n]); err != nil {
+	// Round 1: blinded wire polynomials and, for extended keys, the
+	// multiplicity polynomial [M] (committed before β_L exists).
+	aPoly, err := blind(pk.Domain, aV, 2)
+	if err != nil {
+		return nil, err
+	}
+	bPoly, err := blind(pk.Domain, bV, 2)
+	if err != nil {
+		return nil, err
+	}
+	cPoly, err := blind(pk.Domain, cV, 2)
+	if err != nil {
+		return nil, err
+	}
+	proof := &Proof{}
+	round := []poly.Polynomial{aPoly, bPoly, cPoly}
+	outs := []*kzg.Commitment{&proof.A, &proof.B, &proof.C}
+	var mV []fr.Element
+	var mPoly poly.Polynomial
+	if pk.extended {
+		// Ext marks the proof's shape for the transcript schedule.
+		proof.Evals.Ext = &ExtEvals{}
+		if mV, err = buildMultiplicities(pk.gates, witness, pk.tableBits, n); err != nil {
 			return nil, err
 		}
-		b1, b2 := randScalar(), randScalar()
-		// + (b1 + b2·X)·(X^n - 1)
-		p[0].Sub(&p[0], &b1)
-		p[1].Sub(&p[1], &b2)
-		p[n].Add(&p[n], &b1)
-		p[n+1].Add(&p[n+1], &b2)
-		return p, nil
+		if mPoly, err = blind(pk.Domain, mV, 2); err != nil {
+			return nil, err
+		}
+		round = append(round, mPoly)
+		outs = append(outs, &proof.M)
 	}
-	aPoly, err := blindWire(aV)
-	if err != nil {
+	// The round's commitments are independent MSMs (the prover's dominant
+	// cost); run them in parallel.
+	if err = commitParallel(pk.SRS, round, outs); err != nil {
 		return nil, err
 	}
-	bPoly, err := blindWire(bV)
-	if err != nil {
-		return nil, err
-	}
-	cPoly, err := blindWire(cV)
-	if err != nil {
-		return nil, err
-	}
-
-	commit := func(p poly.Polynomial) (kzg.Commitment, error) { return kzg.Commit(pk.SRS, p) }
-	proof := &Proof{}
-	// The three wire commitments are independent MSMs; run them in
-	// parallel (the prover's dominant cost).
-	if err = commitParallel(pk.SRS,
-		[]poly.Polynomial{aPoly, bPoly, cPoly},
-		[]*kzg.Commitment{&proof.A, &proof.B, &proof.C}); err != nil {
-		return nil, err
-	}
-
 	tr := transcript.New("zkdet/plonk")
 	bindTranscript(tr, pk.VK, public)
-	tr.AppendPoint("a", &proof.A)
-	tr.AppendPoint("b", &proof.B)
-	tr.AppendPoint("c", &proof.C)
-	beta := tr.ChallengeScalar("beta")
-	gamma := tr.ChallengeScalar("gamma")
+	ch := newChallenges(pk.VK)
+	proof.absorbWires(tr, ch)
 
-	// Round 2: grand-product polynomial z. The per-row numerator and
-	// denominator products are independent; only the prefix scan that
-	// turns them into z is serial.
+	// Round 2: permutation grand product z and, for extended keys, the
+	// LogUp helper and running-sum columns H, S (which need β_L).
+	zPoly, err := blind(pk.Domain, grandProduct(pk, aV, bV, cV, ch), 3)
+	if err != nil {
+		return nil, err
+	}
+	round = []poly.Polynomial{zPoly}
+	outs = []*kzg.Commitment{&proof.Z}
+	var hPoly, sPoly poly.Polynomial
+	if pk.extended {
+		hV, sV := buildLogUpColumns(pk.gates, aV, mV, rangeTableValues(pk.tableBits, n), ch.betaL)
+		// The LogUp telescoping sum must close: S_{n-1} + H_{n-1} wraps
+		// to S_0 = 0. If it doesn't, some lookup left the table.
+		var total fr.Element
+		total.Add(&sV[n-1], &hV[n-1])
+		if !total.IsZero() {
+			return nil, ErrUnsatisfied
+		}
+		if hPoly, err = blind(pk.Domain, hV, 2); err != nil {
+			return nil, err
+		}
+		if sPoly, err = blind(pk.Domain, sV, 3); err != nil {
+			return nil, err
+		}
+		round = append(round, hPoly, sPoly)
+		outs = append(outs, &proof.H, &proof.S)
+	}
+	if err = commitParallel(pk.SRS, round, outs); err != nil {
+		return nil, err
+	}
+	proof.absorbProducts(tr, ch)
+
+	// Round 3: quotient t, split into degree-n pieces. The coset columns
+	// follow the order quotient reads them in.
+	cols := []poly.Polynomial{
+		aPoly, bPoly, cPoly, zPoly,
+		pk.QL, pk.QR, pk.QO, pk.QM, pk.QC,
+		pk.S1, pk.S2, pk.S3, piPoly,
+	}
+	if pk.extended {
+		cols = append(cols,
+			mPoly, hPoly, sPoly,
+			pk.QLk, pk.Tbl, pk.QMimc, pk.QPosF, pk.QPosP,
+			pk.KC0, pk.KC1, pk.KC2)
+	}
+	pieces, err := quotient(pk, cols, ch)
+	if err != nil {
+		return nil, err
+	}
+	pieceCms := make([]kzg.Commitment, len(pieces))
+	outs = make([]*kzg.Commitment, len(pieces))
+	for p := range pieceCms {
+		outs[p] = &pieceCms[p]
+	}
+	if err = commitParallel(pk.SRS, pieces, outs); err != nil {
+		return nil, err
+	}
+	proof.TLo, proof.TMid, proof.THi = pieceCms[0], pieceCms[1], pieceCms[2]
+	if len(pieces) > 3 {
+		proof.TExtra = pieceCms[3:]
+	}
+	zeta := proof.absorbQuotient(tr)
+
+	// Round 4: evaluations at ζ and ζω, listed in the zetaEvals and
+	// omegaEvals folding order — independent Horner walks on the pool.
+	var zetaOmega fr.Element
+	zetaOmega.Mul(&zeta, &pk.Domain.Gen)
+	ev := &proof.Evals
+	atZeta := []opening{
+		{aPoly, &ev.A}, {bPoly, &ev.B}, {cPoly, &ev.C}, {zPoly, &ev.Z},
+		{pk.QL, &ev.QL}, {pk.QR, &ev.QR}, {pk.QO, &ev.QO}, {pk.QM, &ev.QM}, {pk.QC, &ev.QC},
+		{pk.S1, &ev.S1}, {pk.S2, &ev.S2}, {pk.S3, &ev.S3},
+		{pieces[0], &ev.TLo}, {pieces[1], &ev.TMid}, {pieces[2], &ev.THi},
+	}
+	atOmega := []opening{{zPoly, &ev.ZOmega}}
+	if ex := ev.Ext; ex != nil {
+		ex.TExtra = make([]fr.Element, len(pieces)-3)
+		atZeta = append(atZeta,
+			opening{mPoly, &ex.M}, opening{hPoly, &ex.H}, opening{sPoly, &ex.S},
+			opening{pk.QLk, &ex.QLk}, opening{pk.Tbl, &ex.Tbl},
+			opening{pk.QMimc, &ex.QMimc}, opening{pk.QPosF, &ex.QPosF}, opening{pk.QPosP, &ex.QPosP},
+			opening{pk.KC0, &ex.K0}, opening{pk.KC1, &ex.K1}, opening{pk.KC2, &ex.K2})
+		for p := 3; p < len(pieces); p++ {
+			atZeta = append(atZeta, opening{pieces[p], &ex.TExtra[p-3]})
+		}
+		atOmega = append(atOmega,
+			opening{sPoly, &ex.SOmega}, opening{aPoly, &ex.AOmega},
+			opening{bPoly, &ex.BOmega}, opening{cPoly, &ex.COmega})
+	}
+	parallel.Execute(len(atZeta)+len(atOmega), func(start, end int) {
+		for i := start; i < end; i++ {
+			if i < len(atZeta) {
+				*atZeta[i].out = atZeta[i].p.Eval(&zeta)
+			} else {
+				o := atOmega[i-len(atZeta)]
+				*o.out = o.p.Eval(&zetaOmega)
+			}
+		}
+	})
+	v := proof.absorbEvals(tr)
+
+	// Round 5: one v-folded opening at ζ and one at ζω (for a classic
+	// proof the latter is z alone).
+	wZeta, _ := poly.DivideByLinear(foldOpenings(atZeta, &v), &zeta)
+	wZetaOmega, _ := poly.DivideByLinear(foldOpenings(atOmega, &v), &zetaOmega)
+	if err = commitParallel(pk.SRS,
+		[]poly.Polynomial{wZeta, wZetaOmega},
+		[]*kzg.Commitment{&proof.WZeta, &proof.WZetaOmega}); err != nil {
+		return nil, err
+	}
+	return proof, nil
+}
+
+// grandProduct returns the permutation accumulator over the domain rows:
+// z_0 = 1, z_{i+1} = z_i · ∏(w + β·k_w·ω^i + γ) / ∏(w + β·sσ_w(i) + γ).
+// The per-row numerator and denominator products are independent; only
+// the prefix scan that turns them into z is serial.
+func grandProduct(pk *ProvingKey, aV, bV, cV []fr.Element, ch *challenges) []fr.Element {
+	n := len(aV)
 	omega := pk.Domain.Elements()
-	k1 := fr.NewElement(permK1)
-	k2 := fr.NewElement(permK2)
 	nums := make([]fr.Element, n)
 	dens := make([]fr.Element, n)
-	parallel.Execute(nInt, func(start, end int) {
+	parallel.Execute(n, func(start, end int) {
 		for i := start; i < end; i++ {
 			var f1, f2, f3, t fr.Element
 			// (a + β·ω^i + γ)(b + β·k1·ω^i + γ)(c + β·k2·ω^i + γ)
-			f1.Mul(&beta, &omega[i])
+			f1.Mul(&ch.beta, &omega[i])
 			f1.Add(&f1, &aV[i])
-			f1.Add(&f1, &gamma)
-			t.Mul(&beta, &omega[i])
-			t.Mul(&t, &k1)
+			f1.Add(&f1, &ch.gamma)
+			t.Mul(&ch.beta, &omega[i])
+			t.Mul(&t, &ch.k1)
 			f2.Add(&bV[i], &t)
-			f2.Add(&f2, &gamma)
-			t.Mul(&beta, &omega[i])
-			t.Mul(&t, &k2)
+			f2.Add(&f2, &ch.gamma)
+			t.Mul(&ch.beta, &omega[i])
+			t.Mul(&t, &ch.k2)
 			f3.Add(&cV[i], &t)
-			f3.Add(&f3, &gamma)
+			f3.Add(&f3, &ch.gamma)
 			nums[i].Mul(&f1, &f2)
 			nums[i].Mul(&nums[i], &f3)
 
 			// (a + β·sσ1 + γ)(b + β·sσ2 + γ)(c + β·sσ3 + γ)
 			lbl := pk.sigmaLabel[i]
-			t.Mul(&beta, &lbl[0])
+			t.Mul(&ch.beta, &lbl[0])
 			f1.Add(&aV[i], &t)
-			f1.Add(&f1, &gamma)
-			t.Mul(&beta, &lbl[1])
+			f1.Add(&f1, &ch.gamma)
+			t.Mul(&ch.beta, &lbl[1])
 			f2.Add(&bV[i], &t)
-			f2.Add(&f2, &gamma)
-			t.Mul(&beta, &lbl[2])
+			f2.Add(&f2, &ch.gamma)
+			t.Mul(&ch.beta, &lbl[2])
 			f3.Add(&cV[i], &t)
-			f3.Add(&f3, &gamma)
+			f3.Add(&f3, &ch.gamma)
 			dens[i].Mul(&f1, &f2)
 			dens[i].Mul(&dens[i], &f3)
 		}
@@ -326,88 +512,63 @@ func proveClassic(pk *ProvingKey, witness []fr.Element) (*Proof, error) {
 	fr.BatchInvert(dens)
 	zV := make([]fr.Element, n)
 	zV[0] = fr.One()
-	for i := 0; i < nInt-1; i++ {
+	for i := 0; i < n-1; i++ {
 		var step fr.Element
 		step.Mul(&nums[i], &dens[i])
 		zV[i+1].Mul(&zV[i], &step)
 	}
+	return zV
+}
 
-	zPoly := make(poly.Polynomial, n+3)
-	copy(zPoly, zV)
-	if err := pk.Domain.IFFT(zPoly[:n]); err != nil {
-		return nil, err
-	}
-	zb1, zb2, zb3 := randScalar(), randScalar(), randScalar()
-	zPoly[0].Sub(&zPoly[0], &zb1)
-	zPoly[1].Sub(&zPoly[1], &zb2)
-	zPoly[2].Sub(&zPoly[2], &zb3)
-	zPoly[n].Add(&zPoly[n], &zb1)
-	zPoly[n+1].Add(&zPoly[n+1], &zb2)
-	zPoly[n+2].Add(&zPoly[n+2], &zb3)
+// quotient evaluates the constraint numerator on the key's coset domain
+// (preprocessed on the proving key, so its twiddle and coset tables are
+// shared across proofs), divides by Z_H and returns t in coefficient form,
+// split into degree-n pieces: 3 for classic and lookup keys, 6 for
+// custom-gate keys. cols are the coefficient-form columns listed in Prove.
+func quotient(pk *ProvingKey, cols []poly.Polynomial, ch *challenges) ([]poly.Polynomial, error) {
+	d := pk.quotientDomain
+	n := pk.Domain.N
+	big := d.N
+	factor := big / n // coset index step corresponding to one ω step
 
-	if proof.Z, err = commit(zPoly); err != nil {
-		return nil, err
-	}
-	tr.AppendPoint("z", &proof.Z)
-	alpha := tr.ChallengeScalar("alpha")
-
-	// Round 3: quotient polynomial t over the 4n coset (preprocessed on
-	// the proving key, so its twiddle and coset tables are shared across
-	// proofs).
-	big := 4 * n
-	domain4, err := coset4(pk)
-	if err != nil {
-		return nil, err
-	}
-	// The 13 coset evaluations are independent FFTs; run them with a
-	// bounded worker pool.
-	cosetInputs := []poly.Polynomial{
-		aPoly, bPoly, cPoly, zPoly,
-		pk.QL, pk.QR, pk.QO, pk.QM, pk.QC,
-		pk.S1, pk.S2, pk.S3, piPoly,
-	}
-	cosetOutputs := make([][]fr.Element, len(cosetInputs))
-	cosetErrs := make([]error, len(cosetInputs))
-	parallel.Execute(len(cosetInputs), func(start, end int) {
+	// The coset evaluations are independent FFTs.
+	ev := make([][]fr.Element, len(cols))
+	errs := make([]error, len(cols))
+	parallel.Execute(len(cols), func(start, end int) {
 		for i := start; i < end; i++ {
 			e := make([]fr.Element, big)
-			copy(e, cosetInputs[i])
-			cosetErrs[i] = domain4.FFTCoset(e)
-			cosetOutputs[i] = e
+			copy(e, cols[i])
+			errs[i] = d.FFTCoset(e)
+			ev[i] = e
 		}
 	})
-	for _, cerr := range cosetErrs {
-		if cerr != nil {
-			return nil, cerr
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
 	}
-	aE, bE, cE, zE := cosetOutputs[0], cosetOutputs[1], cosetOutputs[2], cosetOutputs[3]
-	qlE, qrE, qoE, qmE, qcE := cosetOutputs[4], cosetOutputs[5], cosetOutputs[6], cosetOutputs[7], cosetOutputs[8]
-	s1E, s2E, s3E, piE := cosetOutputs[9], cosetOutputs[10], cosetOutputs[11], cosetOutputs[12]
 
-	// Coset points x_i = g·ω₄ⁱ, their Z_H values (period 4) and L1 values.
-	elems4 := domain4.Elements()
+	// Coset points x_i = g·ω_bigⁱ, their Z_H values (period factor) and
+	// L1(x) = Z_H(x) / (n·(x-1)).
+	elems := d.Elements()
 	xs := make([]fr.Element, big)
 	shift := fr.NewElement(fr.MultiplicativeGenerator)
 	parallel.Execute(int(big), func(start, end int) {
 		for i := start; i < end; i++ {
-			xs[i].Mul(&elems4[i], &shift)
+			xs[i].Mul(&elems[i], &shift)
 		}
 	})
-	var gN fr.Element
-	gN.ExpUint64(&shift, n)
-	w4n := domain4.Element(n) // primitive 4th root of unity
+	var cur fr.Element
+	cur.ExpUint64(&shift, n)
+	wn := d.Element(n) // primitive factor-th root of unity
 	one := fr.One()
-	zh := make([]fr.Element, 4)
-	cur := gN
-	for i := 0; i < 4; i++ {
+	zh := make([]fr.Element, factor)
+	for i := range zh {
 		zh[i].Sub(&cur, &one)
-		cur.Mul(&cur, &w4n)
+		cur.Mul(&cur, &wn)
 	}
-	zhInv := make([]fr.Element, 4)
-	copy(zhInv, zh)
+	zhInv := append([]fr.Element(nil), zh...)
 	fr.BatchInvert(zhInv)
-	// L1(x) = Z_H(x) / (n·(x-1)).
 	l1Den := make([]fr.Element, big)
 	nEl := fr.NewElement(n)
 	parallel.Execute(int(big), func(start, end int) {
@@ -418,144 +579,48 @@ func proveClassic(pk *ProvingKey, witness []fr.Element) (*Proof, error) {
 	})
 	fr.BatchInvert(l1Den)
 
-	// The 4n quotient evaluations are independent; range-split them.
-	tEvals := make([]fr.Element, big)
+	// The coset evaluations of t are independent; range-split them.
+	tPoly := make(poly.Polynomial, big)
 	parallel.Execute(int(big), func(start, end int) {
+		var pv pointVals
 		for ii := start; ii < end; ii++ {
 			i := uint64(ii)
-			var gate, t1, t2 fr.Element
-			// Gate constraint.
-			t1.Mul(&qmE[i], &aE[i])
-			t1.Mul(&t1, &bE[i])
-			gate.Add(&gate, &t1)
-			t1.Mul(&qlE[i], &aE[i])
-			gate.Add(&gate, &t1)
-			t1.Mul(&qrE[i], &bE[i])
-			gate.Add(&gate, &t1)
-			t1.Mul(&qoE[i], &cE[i])
-			gate.Add(&gate, &t1)
-			gate.Add(&gate, &qcE[i])
-			gate.Add(&gate, &piE[i])
-
-			// Permutation constraint.
-			var p1, p2, f fr.Element
-			t1.Mul(&beta, &xs[i])
-			f.Add(&aE[i], &t1)
-			f.Add(&f, &gamma)
-			p1 = f
-			t1.Mul(&beta, &xs[i])
-			t1.Mul(&t1, &k1)
-			f.Add(&bE[i], &t1)
-			f.Add(&f, &gamma)
-			p1.Mul(&p1, &f)
-			t1.Mul(&beta, &xs[i])
-			t1.Mul(&t1, &k2)
-			f.Add(&cE[i], &t1)
-			f.Add(&f, &gamma)
-			p1.Mul(&p1, &f)
-			p1.Mul(&p1, &zE[i])
-
-			t1.Mul(&beta, &s1E[i])
-			f.Add(&aE[i], &t1)
-			f.Add(&f, &gamma)
-			p2 = f
-			t1.Mul(&beta, &s2E[i])
-			f.Add(&bE[i], &t1)
-			f.Add(&f, &gamma)
-			p2.Mul(&p2, &f)
-			t1.Mul(&beta, &s3E[i])
-			f.Add(&cE[i], &t1)
-			f.Add(&f, &gamma)
-			p2.Mul(&p2, &f)
-			zOmegaI := zE[(i+4)%big]
-			p2.Mul(&p2, &zOmegaI)
-
-			var perm fr.Element
-			perm.Sub(&p1, &p2)
-			perm.Mul(&perm, &alpha)
-
-			// L1 boundary constraint: α²·L1(x)·(z(x) - 1).
-			var l1v fr.Element
-			l1v.Mul(&zh[i%4], &l1Den[i])
-			t2.Sub(&zE[i], &one)
-			l1v.Mul(&l1v, &t2)
-			l1v.Mul(&l1v, &alpha)
-			l1v.Mul(&l1v, &alpha)
-
-			var num fr.Element
-			num.Add(&gate, &perm)
-			num.Add(&num, &l1v)
-			tEvals[i].Mul(&num, &zhInv[i%4])
+			j := (i + factor) % big
+			pv.x = xs[i]
+			pv.a, pv.b, pv.c = ev[0][i], ev[1][i], ev[2][i]
+			pv.z, pv.zw = ev[3][i], ev[3][j]
+			pv.ql, pv.qr, pv.qo, pv.qm, pv.qc = ev[4][i], ev[5][i], ev[6][i], ev[7][i], ev[8][i]
+			pv.s1, pv.s2, pv.s3, pv.pi = ev[9][i], ev[10][i], ev[11][i], ev[12][i]
+			if ch.extended {
+				pv.aw, pv.bw, pv.cw = ev[0][j], ev[1][j], ev[2][j]
+				pv.m, pv.h, pv.s, pv.sw = ev[13][i], ev[14][i], ev[15][i], ev[15][j]
+				pv.qlk, pv.tbl = ev[16][i], ev[17][i]
+				pv.qmimc, pv.qposf, pv.qposp = ev[18][i], ev[19][i], ev[20][i]
+				pv.k0, pv.k1c, pv.k2c = ev[21][i], ev[22][i], ev[23][i]
+			}
+			pv.l1.Mul(&zh[i%factor], &l1Den[i])
+			num := numerator(&pv, ch)
+			tPoly[i].Mul(&num, &zhInv[i%factor])
 		}
 	})
-	tPoly := make(poly.Polynomial, big)
-	copy(tPoly, tEvals)
-	if err := domain4.IFFTCoset(tPoly); err != nil {
+	if err := d.IFFTCoset(tPoly); err != nil {
 		return nil, err
 	}
 
-	// A satisfied circuit yields deg(t) ≤ 3n+5; anything above signals an
-	// unsatisfied witness (the division by Z_H was not exact).
-	for i := 3*n + 6; i < big; i++ {
+	// A satisfied circuit yields deg(t) ≤ nbPieces·n + 5; any higher
+	// coefficient means the division by Z_H was not exact, i.e. the
+	// witness failed some constraint.
+	nbPieces := quotientPieces(pk.custom)
+	maxLen := uint64(nbPieces)*n + 6
+	for i := maxLen; i < big; i++ {
 		if !tPoly[i].IsZero() {
 			return nil, ErrUnsatisfied
 		}
 	}
-	tLo := poly.Polynomial(tPoly[:n])
-	tMid := poly.Polynomial(tPoly[n : 2*n])
-	tHi := poly.Polynomial(tPoly[2*n : 3*n+6])
-	if err = commitParallel(pk.SRS,
-		[]poly.Polynomial{tLo, tMid, tHi},
-		[]*kzg.Commitment{&proof.TLo, &proof.TMid, &proof.THi}); err != nil {
-		return nil, err
+	pieces := make([]poly.Polynomial, nbPieces)
+	for p := range pieces {
+		pieces[p] = tPoly[uint64(p)*n : uint64(p+1)*n]
 	}
-	tr.AppendPoint("t_lo", &proof.TLo)
-	tr.AppendPoint("t_mid", &proof.TMid)
-	tr.AppendPoint("t_hi", &proof.THi)
-	zeta := tr.ChallengeScalar("zeta")
-
-	// Round 4: evaluations at ζ (and ζω for z) — 16 independent Horner
-	// walks, run on the worker pool.
-	var zetaOmega fr.Element
-	zetaOmega.Mul(&zeta, &pk.Domain.Gen)
-	ev := &proof.Evals
-	evalTasks := []struct {
-		p   poly.Polynomial
-		at  *fr.Element
-		out *fr.Element
-	}{
-		{aPoly, &zeta, &ev.A}, {bPoly, &zeta, &ev.B}, {cPoly, &zeta, &ev.C},
-		{zPoly, &zeta, &ev.Z}, {zPoly, &zetaOmega, &ev.ZOmega},
-		{pk.QL, &zeta, &ev.QL}, {pk.QR, &zeta, &ev.QR}, {pk.QO, &zeta, &ev.QO},
-		{pk.QM, &zeta, &ev.QM}, {pk.QC, &zeta, &ev.QC},
-		{pk.S1, &zeta, &ev.S1}, {pk.S2, &zeta, &ev.S2}, {pk.S3, &zeta, &ev.S3},
-		{tLo, &zeta, &ev.TLo}, {tMid, &zeta, &ev.TMid}, {tHi, &zeta, &ev.THi},
-	}
-	parallel.Execute(len(evalTasks), func(start, end int) {
-		for i := start; i < end; i++ {
-			*evalTasks[i].out = evalTasks[i].p.Eval(evalTasks[i].at)
-		}
-	})
-
-	tr.AppendScalars("evals", ev.evalList())
-	tr.AppendScalar("z_omega", &ev.ZOmega)
-	v := tr.ChallengeScalar("v")
-
-	// Round 5: batched opening at ζ, single opening of z at ζω.
-	foldInputs := []poly.Polynomial{
-		aPoly, bPoly, cPoly, zPoly,
-		pk.QL, pk.QR, pk.QO, pk.QM, pk.QC,
-		pk.S1, pk.S2, pk.S3,
-		tLo, tMid, tHi,
-	}
-	folded := foldPolys(foldInputs, fr.Powers(&v, len(foldInputs)))
-	wZeta, _ := poly.DivideByLinear(folded, &zeta)
-	if proof.WZeta, err = commit(wZeta); err != nil {
-		return nil, err
-	}
-	wZetaOmega, _ := poly.DivideByLinear(zPoly, &zetaOmega)
-	if proof.WZetaOmega, err = commit(wZetaOmega); err != nil {
-		return nil, err
-	}
-	return proof, nil
+	pieces[nbPieces-1] = tPoly[uint64(nbPieces-1)*n : maxLen]
+	return pieces, nil
 }

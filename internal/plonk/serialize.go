@@ -19,8 +19,8 @@ import (
 // flags bit 0 marks an extended (lookup/custom) proof, bit 1 a custom-gate
 // proof carrying three extra quotient pieces. The pre-versioning format —
 // the bare 1088-byte classic payload with no header — is recognised and
-// rejected with ErrLegacyEncoding so callers can migrate stored proofs
-// explicitly via ProofFromLegacyBytes.
+// rejected with the typed ErrLegacyEncoding rather than a generic header
+// error, so callers can tell a stored legacy proof from corrupt bytes.
 const (
 	proofVersion = 1
 
@@ -144,7 +144,7 @@ func (p *Proof) Bytes() []byte {
 func ProofFromBytes(data []byte) (*Proof, error) {
 	if len(data) < headerSize || !bytes.Equal(data[:4], proofMagic[:]) {
 		if len(data) == LegacyProofSize {
-			return nil, fmt.Errorf("%w: decode with ProofFromLegacyBytes", ErrLegacyEncoding)
+			return nil, fmt.Errorf("%w: %d-byte blob lacks the %q header", ErrLegacyEncoding, len(data), proofMagic)
 		}
 		return nil, fmt.Errorf("plonk: proof encoding lacks %q header", proofMagic)
 	}
@@ -225,20 +225,6 @@ func ProofFromBytes(data []byte) (*Proof, error) {
 		}
 	}
 	p.Evals.Ext = e
-	return p, nil
-}
-
-// ProofFromLegacyBytes deserializes the pre-versioning encoding: the bare
-// classic payload with no header. It exists so proofs stored before the
-// format was version-stamped remain readable.
-func ProofFromLegacyBytes(data []byte) (*Proof, error) {
-	if len(data) != LegacyProofSize {
-		return nil, fmt.Errorf("plonk: legacy proof must be %d bytes, got %d", LegacyProofSize, len(data))
-	}
-	p := &Proof{}
-	if _, err := decodeClassicPayload(p, data, 0); err != nil {
-		return nil, err
-	}
 	return p, nil
 }
 

@@ -110,11 +110,10 @@ func TestProofHeaderValidation(t *testing.T) {
 
 // TestLegacyProofDecoding is the regression test for the pre-versioning
 // format: a headerless classic payload is rejected by ProofFromBytes with
-// ErrLegacyEncoding, and ProofFromLegacyBytes still decodes it into a
-// verifying proof.
+// the typed ErrLegacyEncoding, not a generic header error.
 func TestLegacyProofDecoding(t *testing.T) {
 	cs, witness := buildMulAddCircuit()
-	pk, vk, err := Setup(cs, testSRSOnce())
+	pk, _, err := Setup(cs, testSRSOnce())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,36 +127,12 @@ func TestLegacyProofDecoding(t *testing.T) {
 	if len(legacy) != LegacyProofSize {
 		t.Fatalf("legacy payload is %d bytes, want %d", len(legacy), LegacyProofSize)
 	}
-
 	if _, err := ProofFromBytes(legacy); !errors.Is(err, ErrLegacyEncoding) {
 		t.Fatalf("legacy blob: got %v, want ErrLegacyEncoding", err)
 	}
-
-	back, err := ProofFromLegacyBytes(legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := Verify(vk, back, witness[:2]); err != nil {
-		t.Fatalf("legacy-decoded proof rejected: %v", err)
-	}
-
-	if _, err := ProofFromLegacyBytes(legacy[:100]); err == nil {
-		t.Fatal("short legacy blob accepted")
-	}
-
-	// An extended proof has no legacy encoding; its payload length alone
-	// must keep it out of the legacy path.
-	csL, wL := buildLookupCircuit(8, []uint64{1, 2})
-	pkL, _, err := Setup(csL, testSRSOnce())
-	if err != nil {
-		t.Fatal(err)
-	}
-	pL, err := Prove(pkL, wL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ProofFromLegacyBytes(pL.Bytes()[headerSize:]); err == nil {
-		t.Fatal("extended payload decoded as legacy")
+	// Other headerless blobs are corrupt, not legacy.
+	if _, err := ProofFromBytes(legacy[:100]); err == nil || errors.Is(err, ErrLegacyEncoding) {
+		t.Fatalf("short headerless blob: got %v, want a non-legacy error", err)
 	}
 }
 
