@@ -336,9 +336,9 @@ func runP2P() {
 }
 
 func runExec() {
-	header("Execution layer — sealed tx/s, serial vs parallel batch execution")
+	header("Execution layer — sealed tx/s by batch execution width")
 	fmt.Println("workload: DataNFT transfers between disjoint client pairs (conflict-light);")
-	fmt.Println("workers=1 is the retained serial reference; blocks are bit-identical across widths")
+	fmt.Println("workers=1 executes one transaction at a time; blocks are bit-identical across widths")
 	rows, err := bench.ExecSweep([]int{100, 1000, 10000}, []int{1, 2, 4, 8})
 	if err != nil {
 		log.Fatalf("exec: %v", err)
@@ -357,10 +357,9 @@ func runExec() {
 			fmt.Sprintf("%.2fx", r.TxPerSec/serialRate[r.Clients]),
 			r.Speculated, r.Committed, r.Conflicts, r.Serial)
 	}
-	fmt.Println("(the parallel engine's gain on this box is algorithmic — per-tx effects apply from")
-	fmt.Println(" captured write sets instead of the serial path's full balance snapshot, so the")
-	fmt.Println(" advantage grows with the client population; on multi-core hardware the group")
-	fmt.Println(" speculation additionally spreads across cores)")
+	fmt.Println("(every width applies per-tx effects from captured write sets, so throughput does")
+	fmt.Println(" not fall with the client population; widths above 1 gain only where group")
+	fmt.Println(" speculation on spare cores outweighs scheduling and validation overhead)")
 }
 
 func runCT(sys *core.System) {

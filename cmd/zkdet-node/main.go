@@ -48,7 +48,7 @@ func nodeFlags(fs *flag.FlagSet, cfg *serverConfig) {
 	fs.IntVar(&cfg.node.MaxBlockTxs, "max-block-txs", cfg.node.MaxBlockTxs, "max transactions per block")
 	fs.IntVar(&cfg.node.MaxPoolTxs, "max-pool-txs", cfg.node.MaxPoolTxs, "mempool capacity")
 	fs.IntVar(&cfg.storageNodes, "storage-nodes", cfg.storageNodes, "simulated storage network size")
-	fs.IntVar(&cfg.node.ExecWorkers, "exec-workers", cfg.node.ExecWorkers, "parallel execution width for block batches (0 = machine size, 1 = serial)")
+	fs.IntVar(&cfg.node.ExecWorkers, "exec-workers", cfg.node.ExecWorkers, "parallel execution width for block batches (0 = machine size, 1 = one transaction at a time)")
 	fs.StringVar(&cfg.dataDir, "data-dir", cfg.dataDir, "durable mode: persist WAL + snapshots here and recover on restart (empty = in-memory)")
 	fs.StringVar(&cfg.role, "role", cfg.role, "durable pruning role: archive (keep all history) or full (drop bodies below checkpoints)")
 	fs.Uint64Var(&cfg.checkpointEvery, "checkpoint-every", cfg.checkpointEvery, "durable mode: snapshot cadence in blocks (0 = default 64)")

@@ -14,9 +14,9 @@ import (
 // (chain.SubmitBatch): DataNFT transfers between disjoint client pairs — a
 // conflict-light workload where every transaction's declared read/write set
 // is private to its pair, so the scheduler puts each pair in its own group
-// and the commit phase validates every speculation. Workers = 1 is the
-// retained serial reference path; the engine's contract is that both
-// produce bit-identical blocks, so the only thing varying here is the
+// and the commit phase validates every speculation. Workers = 1 executes
+// one transaction at a time; the engine's contract is that every width
+// produces bit-identical blocks, so the only thing varying here is the
 // clock.
 
 // ExecRow is one point of the execution-throughput experiment.
@@ -42,6 +42,7 @@ func ExecThroughput(clients, workers, rounds int) (ExecRow, error) {
 		return ExecRow{}, fmt.Errorf("bench: clients must be even, got %d", clients)
 	}
 	c := chain.New()
+	c.SetExecWorkers(workers)
 	if _, err := c.Deploy(contracts.DataNFTName, &contracts.DataNFT{}, contracts.DataNFTCodeSize); err != nil {
 		return ExecRow{}, err
 	}
@@ -68,7 +69,7 @@ func ExecThroughput(clients, workers, rounds int) (ExecRow, error) {
 		nonces[from]++
 	}
 	tokens := make([]uint64, clients/2)
-	for j, out := range c.SubmitBatch(mints, workers) {
+	for j, out := range c.SubmitBatch(mints) {
 		if out.Err != nil {
 			return ExecRow{}, out.Err
 		}
@@ -100,7 +101,7 @@ func ExecThroughput(clients, workers, rounds int) (ExecRow, error) {
 			}
 			nonces[from]++
 		}
-		for i, out := range c.SubmitBatch(txs, workers) {
+		for i, out := range c.SubmitBatch(txs) {
 			if out.Err != nil {
 				return ExecRow{}, fmt.Errorf("round %d tx %d: %w", r, i, out.Err)
 			}

@@ -144,7 +144,7 @@ type DurableRow struct {
 // startRound carries the bounce parity across split runs: round r moves each
 // token even→odd or odd→even depending on r's parity, so a caller resuming
 // the workload must continue the round count, not restart it.
-func execWorkload(c *chain.Chain, addrs []chain.Address, nonces []uint64, tokens []uint64, workers, startRound, rounds int) (int, time.Duration, error) {
+func execWorkload(c *chain.Chain, addrs []chain.Address, nonces []uint64, tokens []uint64, startRound, rounds int) (int, time.Duration, error) {
 	start := time.Now()
 	total := 0
 	for r := startRound; r < startRound+rounds; r++ {
@@ -161,7 +161,7 @@ func execWorkload(c *chain.Chain, addrs []chain.Address, nonces []uint64, tokens
 			}
 			nonces[from]++
 		}
-		for i, out := range c.SubmitBatch(txs, workers) {
+		for i, out := range c.SubmitBatch(txs) {
 			if out.Err != nil {
 				return 0, 0, fmt.Errorf("round %d tx %d: %w", r, i, out.Err)
 			}
@@ -195,7 +195,7 @@ func fund(c *chain.Chain, addrs []chain.Address) {
 
 // execSetup mints one token per client pair — the untimed prologue shared
 // by every sealing mode. It seals the mint block.
-func execSetup(c *chain.Chain, addrs []chain.Address, workers int) ([]uint64, []uint64, error) {
+func execSetup(c *chain.Chain, addrs []chain.Address) ([]uint64, []uint64, error) {
 	clients := len(addrs)
 	nonces := make([]uint64, clients)
 	uri := []byte("bench-uri")
@@ -211,7 +211,7 @@ func execSetup(c *chain.Chain, addrs []chain.Address, workers int) ([]uint64, []
 		nonces[from]++
 	}
 	tokens := make([]uint64, clients/2)
-	for j, out := range c.SubmitBatch(mints, workers) {
+	for j, out := range c.SubmitBatch(mints) {
 		if out.Err != nil {
 			return nil, nil, out.Err
 		}
@@ -238,6 +238,7 @@ func DurableExecCompare(dirFor func() string, clients, workers, rounds int) ([]D
 	}
 	run := func(mode string) (DurableRow, error) {
 		c := chain.New()
+		c.SetExecWorkers(workers)
 		if _, err := c.Deploy(contracts.DataNFTName, &contracts.DataNFT{}, contracts.DataNFTCodeSize); err != nil {
 			return DurableRow{}, err
 		}
@@ -261,11 +262,11 @@ func DurableExecCompare(dirFor func() string, clients, workers, rounds int) ([]D
 		}
 		addrs := execClients(clients)
 		fund(c, addrs)
-		nonces, tokens, err := execSetup(c, addrs, workers)
+		nonces, tokens, err := execSetup(c, addrs)
 		if err != nil {
 			return DurableRow{}, err
 		}
-		total, elapsed, err := execWorkload(c, addrs, nonces, tokens, workers, 0, rounds)
+		total, elapsed, err := execWorkload(c, addrs, nonces, tokens, 0, rounds)
 		if err != nil {
 			return DurableRow{}, err
 		}
@@ -343,7 +344,8 @@ func RecoveryTime(dir string, blocks, clients, workers int, checkpoint bool) (Re
 	if err := d.Attach(c); err != nil {
 		return RecoveryRow{}, err
 	}
-	nonces, tokens, err := execSetup(c, addrs, workers)
+	c.SetExecWorkers(workers)
+	nonces, tokens, err := execSetup(c, addrs)
 	if err != nil {
 		return RecoveryRow{}, err
 	}
@@ -353,7 +355,7 @@ func RecoveryTime(dir string, blocks, clients, workers int, checkpoint bool) (Re
 		rounds = 0
 	}
 	half := rounds / 2
-	if _, _, err := execWorkload(c, addrs, nonces, tokens, workers, 0, half); err != nil {
+	if _, _, err := execWorkload(c, addrs, nonces, tokens, 0, half); err != nil {
 		return RecoveryRow{}, err
 	}
 	if checkpoint {
@@ -361,7 +363,7 @@ func RecoveryTime(dir string, blocks, clients, workers int, checkpoint bool) (Re
 			return RecoveryRow{}, err
 		}
 	}
-	if _, _, err := execWorkload(c, addrs, nonces, tokens, workers, half, rounds-half); err != nil {
+	if _, _, err := execWorkload(c, addrs, nonces, tokens, half, rounds-half); err != nil {
 		return RecoveryRow{}, err
 	}
 	if err := d.Err(); err != nil {

@@ -18,13 +18,15 @@ import (
 //     speculation whose captured reads match exactly what has committed
 //     (exec.CommitLog) is applied as-is; anything else — an undeclared
 //     cross-group conflict, a serial-only transaction, a dependent of a
-//     re-executed transaction — is re-executed against live state, which
-//     is always correct because it IS serial execution at that point.
+//     re-executed transaction — is re-executed against live state through
+//     execTxLocked, which is always correct because it IS serial execution
+//     at that point.
 //
 // The commit order equals the batch order regardless of scheduling, so the
 // resulting receipts, gas, event order, and state root are bit-identical
-// to the retained serial path; the property tests in batch_test.go pin
-// this over randomized workloads.
+// to submitting the batch one transaction at a time; the property tests in
+// batch_test.go pin this over randomized workloads, against both width 1
+// and the independent reference model in refmodel_test.go.
 
 // TxOutcome is the result of one batch member: the receipt of a processed
 // transaction, or the Go-level error of a malformed one (same contract as
@@ -35,31 +37,32 @@ type TxOutcome struct {
 	Err     error
 }
 
+// outcome returns the batch result of an execution.
+func (eff *txEffects) outcome() TxOutcome {
+	return TxOutcome{Receipt: eff.receipt, Err: eff.goErr}
+}
+
 // minParallelBatch is the batch size below which scheduling overhead
-// cannot pay for itself and the serial path runs instead.
+// cannot pay for itself and the batch executes one transaction at a time.
 const minParallelBatch = 4
 
 // SubmitBatch executes a batch of transactions as if submitted one by one
-// through Submit, using up to workers goroutines for speculative
+// through Submit, using up to SetExecWorkers goroutines for speculative
 // execution. It returns one outcome per transaction, in order.
-func (c *Chain) SubmitBatch(txs []Transaction, workers int) []TxOutcome {
+func (c *Chain) SubmitBatch(txs []Transaction) []TxOutcome {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.submitBatchLocked(txs, workers)
+	return c.submitBatchLocked(txs)
 }
 
 // submitBatchLocked is SubmitBatch's body; caller holds c.mu. With one
-// worker (or a tiny batch) it is exactly the serial Submit loop — that
-// path is the reference the property tests diff the parallel path against.
-func (c *Chain) submitBatchLocked(txs []Transaction, workers int) []TxOutcome {
+// worker (or a tiny batch) it is exactly the Submit loop.
+func (c *Chain) submitBatchLocked(txs []Transaction) []TxOutcome {
 	out := make([]TxOutcome, len(txs))
-	if workers <= 0 {
-		workers = c.execWorkers
-	}
-	if workers <= 1 || len(txs) < minParallelBatch {
+	blockNum := uint64(len(c.blocks))
+	if c.execWorkers <= 1 || len(txs) < minParallelBatch {
 		for i := range txs {
-			r, err := c.submitLocked(txs[i])
-			out[i] = TxOutcome{Receipt: r, Err: err}
+			out[i] = c.execTxLocked(txs[i], blockNum).outcome()
 		}
 		return out
 	}
@@ -69,12 +72,11 @@ func (c *Chain) submitBatchLocked(txs []Transaction, workers int) []TxOutcome {
 		sets[i] = c.staticRWSetLocked(&txs[i])
 	}
 	groups := exec.Schedule(sets)
-	blockNum := uint64(len(c.blocks))
 
 	// Phase 1: speculate groups on the worker pool. effs is written at
 	// disjoint indices and only read after the pool joins.
 	effs := make([]*txEffects, len(txs))
-	parallel.ExecuteWorkers(len(groups), workers, func(start, end int) {
+	parallel.ExecuteWorkers(len(groups), c.execWorkers, func(start, end int) {
 		for g := start; g < end; g++ {
 			c.speculateGroupLocked(groups[g], txs, sets, effs, blockNum)
 		}
@@ -86,7 +88,7 @@ func (c *Chain) submitBatchLocked(txs []Transaction, workers int) []TxOutcome {
 		if eff := effs[i]; eff != nil && clog.Valid(eff.reads) {
 			c.applyEffectsLocked(eff)
 			clog.Record(i, eff.writes)
-			out[i] = TxOutcome{Receipt: eff.receipt, Err: eff.goErr}
+			out[i] = eff.outcome()
 			c.execStats.AddCommitted()
 			continue
 		}
@@ -94,12 +96,10 @@ func (c *Chain) submitBatchLocked(txs []Transaction, workers int) []TxOutcome {
 			c.execStats.AddConflict()
 		}
 		clog.MarkReexecuted(i)
-		v := c.newTxView(nil, blockNum)
-		eff := v.runTx(txs[i])
+		eff := c.execTxLocked(txs[i], blockNum)
 		eff.finalize()
-		c.applyEffectsLocked(eff)
 		clog.Record(i, eff.writes)
-		out[i] = TxOutcome{Receipt: eff.receipt, Err: eff.goErr}
+		out[i] = eff.outcome()
 		c.execStats.AddSerial()
 	}
 	return out
@@ -126,9 +126,9 @@ func (c *Chain) speculateGroupLocked(members []int, txs []Transaction, sets []*e
 	}
 }
 
-// SetExecWorkers sets the worker count batch execution (SubmitBatch with
-// workers <= 0, and block replay in ImportBlock) uses. The default of one
-// keeps the serial path; the node wires its ExecWorkers config here.
+// SetExecWorkers sets the worker count batch execution (SubmitBatch, and
+// block replay in ImportBlock) uses. The default of one executes batches
+// one transaction at a time; the node wires its ExecWorkers config here.
 func (c *Chain) SetExecWorkers(n int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

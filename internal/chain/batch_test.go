@@ -18,6 +18,8 @@ import (
 //	sneak         empty declaration but a real read+write of "shadow" —
 //	              the pure dynamic-conflict case
 //	call          empty declaration, cross-contract bump on another ptest
+//	callfail      like call, but the outer call then reverts, which must
+//	              roll back the callee's bump and refund the value
 //	fail          declared write that then reverts
 //	pay           value transfer out of escrow; serial-only (no declaration)
 type ptest struct {
@@ -79,6 +81,11 @@ func (p *ptest) Call(ctx *CallContext, method string, args []byte) ([]byte, erro
 		return p.bump(ctx, "shadow")
 	case "call":
 		return ctx.CallContract(p.callee, "bump", nil)
+	case "callfail":
+		if _, err := ctx.CallContract(p.callee, "bump", nil); err != nil {
+			return nil, err
+		}
+		return nil, errors.New("deliberate failure after a sub-call")
 	case "fail":
 		if err := ctx.Store.Set("junk", []byte("rolled back")); err != nil {
 			return nil, err
@@ -105,7 +112,7 @@ func (p *ptest) DeclareRW(sender Address, method string, args []byte, value uint
 	case "alloc":
 		// The item/<id> write is deliberately left undeclared.
 		return RWDecl{Reads: []string{"next"}, Writes: []string{"next"}}, true
-	case "sneak", "call":
+	case "sneak", "call", "callfail":
 		return RWDecl{}, true
 	case "fail":
 		return RWDecl{Writes: []string{"junk"}}, true
@@ -144,7 +151,7 @@ func randomBatch(rng *rand.Rand, senders []Address, size int) []Transaction {
 		from := senders[rng.Intn(len(senders))]
 		tx := Transaction{From: from, Nonce: nonces[from]}
 		bump := true
-		switch rng.Intn(12) {
+		switch rng.Intn(13) {
 		case 0: // plain transfer, warm recipient
 			tx.To = senders[rng.Intn(len(senders))]
 			tx.Value = uint64(rng.Intn(500))
@@ -187,6 +194,10 @@ func randomBatch(rng *rand.Rand, senders []Address, size int) []Transaction {
 			tx.Contract = "pa"
 			tx.Method = "bump"
 			tx.GasLimit = GasTxBase + GasSLoad/2
+		case 12: // cross-contract call, then revert: refunds the value
+			tx.Contract = "pa"
+			tx.Method = "callfail"
+			tx.Value = uint64(rng.Intn(200))
 		}
 		if bump {
 			nonces[from]++
@@ -203,45 +214,49 @@ func errText(err error) string {
 	return err.Error()
 }
 
-// diffOutcome fails the test when the parallel outcome of tx i differs
-// from the serial reference in any observable way.
+// diffOutcome fails the test when outcome par of tx i differs from the
+// reference outcome serial (width 1, or the reference model) in any
+// observable way.
 func diffOutcome(t *testing.T, i int, serial, par TxOutcome) {
 	t.Helper()
 	if errText(serial.Err) != errText(par.Err) {
-		t.Fatalf("tx %d: error %q, serial %q", i, errText(par.Err), errText(serial.Err))
+		t.Fatalf("tx %d: error %q, reference %q", i, errText(par.Err), errText(serial.Err))
 	}
 	sr, pr := serial.Receipt, par.Receipt
 	if (sr == nil) != (pr == nil) {
-		t.Fatalf("tx %d: receipt presence %v, serial %v", i, pr != nil, sr != nil)
+		t.Fatalf("tx %d: receipt presence %v, reference %v", i, pr != nil, sr != nil)
 	}
 	if sr == nil {
 		return
 	}
 	if pr.TxHash != sr.TxHash || pr.GasUsed != sr.GasUsed {
-		t.Fatalf("tx %d: hash/gas (%x,%d), serial (%x,%d)", i, pr.TxHash[:4], pr.GasUsed, sr.TxHash[:4], sr.GasUsed)
+		t.Fatalf("tx %d: hash/gas (%x,%d), reference (%x,%d)", i, pr.TxHash[:4], pr.GasUsed, sr.TxHash[:4], sr.GasUsed)
 	}
 	if string(pr.Return) != string(sr.Return) {
-		t.Fatalf("tx %d: return %x, serial %x", i, pr.Return, sr.Return)
+		t.Fatalf("tx %d: return %x, reference %x", i, pr.Return, sr.Return)
 	}
 	if errText(pr.Err) != errText(sr.Err) {
-		t.Fatalf("tx %d: receipt err %q, serial %q", i, errText(pr.Err), errText(sr.Err))
+		t.Fatalf("tx %d: receipt err %q, reference %q", i, errText(pr.Err), errText(sr.Err))
 	}
 	if len(pr.Logs) != len(sr.Logs) {
-		t.Fatalf("tx %d: %d logs, serial %d", i, len(pr.Logs), len(sr.Logs))
+		t.Fatalf("tx %d: %d logs, reference %d", i, len(pr.Logs), len(sr.Logs))
 	}
 	for j := range pr.Logs {
 		pl, sl := pr.Logs[j], sr.Logs[j]
 		if pl.Contract != sl.Contract || pl.Name != sl.Name ||
 			string(pl.Topic) != string(sl.Topic) || string(pl.Data) != string(sl.Data) {
-			t.Fatalf("tx %d log %d: %+v, serial %+v", i, j, pl, sl)
+			t.Fatalf("tx %d log %d: %+v, reference %+v", i, j, pl, sl)
 		}
 	}
 }
 
-// diffChains fails the test when the two chains diverge in sealed block
-// hash (covers tx order and state root), account state, or event index.
-func diffChains(t *testing.T, serial, par *Chain, addrs []Address) {
+// diffChains seals both chains and the reference model, and fails the test
+// when the chains diverge in sealed block hash (covers tx order and state
+// root), account state, exported state or event index, or when either
+// diverges from the model.
+func diffChains(t *testing.T, ref *refModel, serial, par *Chain, addrs []Address) {
 	t.Helper()
+	ref.seal()
 	sb, pb := serial.SealBlock(), par.SealBlock()
 	if sb.Hash() != pb.Hash() {
 		t.Fatalf("sealed block hash %s, serial %s (state root %s vs %s)",
@@ -267,6 +282,17 @@ func diffChains(t *testing.T, serial, par *Chain, addrs []Address) {
 			}
 		}
 	}
+	se, err := serial.ExportState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pe, err := par.ExportState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	diffState(t, "parallel vs serial", se, pe)
+	diffModel(t, "serial", ref, serial)
+	diffModel(t, "parallel", ref, par)
 }
 
 // auditAddrs is every address a random batch can touch.
@@ -281,24 +307,28 @@ func auditAddrs(senders []Address) []Address {
 }
 
 // TestSubmitBatchMatchesSerialRandomized is the bit-identity property
-// test: randomized workloads over every transaction shape, executed
-// serially on one chain and in parallel on another, must produce identical
-// outcomes, blocks, and state.
+// test: randomized workloads over every transaction shape, executed at
+// width 1 on one chain and in parallel on another, must produce identical
+// outcomes, blocks, and state — and both must match the reference model.
 func TestSubmitBatchMatchesSerialRandomized(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
 		for _, workers := range []int{2, 4, 8} {
 			rng := rand.New(rand.NewSource(seed*100 + int64(workers)))
 			serialChain, senders := batchFixture(t, 2+rng.Intn(6))
 			parChain, _ := batchFixture(t, len(senders))
+			parChain.SetExecWorkers(workers)
+			ref := newRefModel(t, serialChain)
 
 			for round := 0; round < 3; round++ {
 				txs := randomBatch(rng, senders, 5+rng.Intn(40))
-				serialOut := serialChain.SubmitBatch(txs, 1)
-				parOut := parChain.SubmitBatch(txs, workers)
+				refOut := ref.submitAll(txs)
+				serialOut := serialChain.SubmitBatch(txs)
+				parOut := parChain.SubmitBatch(txs)
 				for i := range txs {
+					diffOutcome(t, i, refOut[i], serialOut[i])
 					diffOutcome(t, i, serialOut[i], parOut[i])
 				}
-				diffChains(t, serialChain, parChain, auditAddrs(senders))
+				diffChains(t, ref, serialChain, parChain, auditAddrs(senders))
 			}
 		}
 	}
@@ -313,7 +343,8 @@ func TestSubmitBatchConflictLightCommitsSpeculatively(t *testing.T) {
 	for i, s := range senders {
 		txs[i] = Transaction{From: s, Contract: "pa", Method: "bump", Nonce: 0}
 	}
-	out := c.SubmitBatch(txs, 4)
+	c.SetExecWorkers(4)
+	out := c.SubmitBatch(txs)
 	for i, o := range out {
 		if o.Err != nil || o.Receipt.Err != nil {
 			t.Fatalf("tx %d failed: %v %v", i, o.Err, o.Receipt.Err)
@@ -334,16 +365,20 @@ func TestSubmitBatchConflictLightCommitsSpeculatively(t *testing.T) {
 func TestSubmitBatchDynamicConflictFallsBack(t *testing.T) {
 	serialChain, senders := batchFixture(t, 6)
 	parChain, _ := batchFixture(t, 6)
+	parChain.SetExecWorkers(4)
+	ref := newRefModel(t, serialChain)
 	txs := make([]Transaction, len(senders))
 	for i, s := range senders {
 		txs[i] = Transaction{From: s, Contract: "pa", Method: "sneak", Nonce: 0}
 	}
-	serialOut := serialChain.SubmitBatch(txs, 1)
-	parOut := parChain.SubmitBatch(txs, 4)
+	refOut := ref.submitAll(txs)
+	serialOut := serialChain.SubmitBatch(txs)
+	parOut := parChain.SubmitBatch(txs)
 	for i := range txs {
+		diffOutcome(t, i, refOut[i], serialOut[i])
 		diffOutcome(t, i, serialOut[i], parOut[i])
 	}
-	diffChains(t, serialChain, parChain, auditAddrs(senders))
+	diffChains(t, ref, serialChain, parChain, auditAddrs(senders))
 
 	_, _, conflicts, serial := parChain.ExecStats()
 	if conflicts == 0 || serial == 0 {
@@ -362,6 +397,8 @@ func TestSubmitBatchDynamicConflictFallsBack(t *testing.T) {
 func TestSubmitBatchSerialOnlyOrdering(t *testing.T) {
 	serialChain, senders := batchFixture(t, 4)
 	parChain, _ := batchFixture(t, 4)
+	parChain.SetExecWorkers(4)
+	ref := newRefModel(t, serialChain)
 	var txs []Transaction
 	for i, s := range senders {
 		txs = append(txs,
@@ -369,12 +406,14 @@ func TestSubmitBatchSerialOnlyOrdering(t *testing.T) {
 			Transaction{From: s, Contract: "pa", Method: "bump", Nonce: 1},
 		)
 	}
-	serialOut := serialChain.SubmitBatch(txs, 1)
-	parOut := parChain.SubmitBatch(txs, 4)
+	refOut := ref.submitAll(txs)
+	serialOut := serialChain.SubmitBatch(txs)
+	parOut := parChain.SubmitBatch(txs)
 	for i := range txs {
+		diffOutcome(t, i, refOut[i], serialOut[i])
 		diffOutcome(t, i, serialOut[i], parOut[i])
 	}
-	diffChains(t, serialChain, parChain, auditAddrs(senders))
+	diffChains(t, ref, serialChain, parChain, auditAddrs(senders))
 }
 
 // TestImportBlockParallelReplay seals blocks serially on a producer and
@@ -477,7 +516,8 @@ func TestStateRootDigestCacheMatchesFullWalk(t *testing.T) {
 		}
 		txs[i] = Transaction{From: s, Contract: "pa", Method: "bump", Nonce: n}
 	}
-	c.SubmitBatch(txs, 4)
+	c.SetExecWorkers(4)
+	c.SubmitBatch(txs)
 	check("after parallel batch")
 
 	b := c.SealBlock()

@@ -167,11 +167,11 @@ type Contract interface {
 	Call(ctx *CallContext, method string, args []byte) ([]byte, error)
 }
 
-// execEnv is the state backend a CallContext executes against: the live
-// chain during serial execution (with c.mu held), or a speculative
-// transaction view (txView) during parallel batch execution. Contracts are
-// oblivious to which one they run on — that is what makes speculative
-// execution bit-identical to serial execution when no conflict occurs.
+// execEnv is the state backend a CallContext executes against. Production
+// execution always runs on a transaction view (txView, execview.go) over
+// committed chain state; the reference model in refmodel_test.go
+// implements it too, so the same contracts can run against an independent
+// serial state machine that the identity tests diff the chain against.
 type execEnv interface {
 	blockNumber() uint64
 	transferValue(from, to Address, amount uint64) error
@@ -179,33 +179,15 @@ type execEnv interface {
 	storeFor(name string) *Storage
 }
 
-// blockNumber returns the current height; caller holds c.mu.
-func (c *Chain) blockNumber() uint64 { return uint64(len(c.blocks)) }
-
-// transferValue moves native value between accounts; caller holds c.mu.
-func (c *Chain) transferValue(from, to Address, amount uint64) error {
-	return c.transferLocked(from, to, amount)
-}
-
-// getContract looks up a deployed contract; caller holds c.mu.
-func (c *Chain) getContract(name string) (Contract, bool) {
-	ct, ok := c.contracts[name]
-	return ct, ok
-}
-
-// storeFor returns a contract's root storage; caller holds c.mu.
-func (c *Chain) storeFor(name string) *Storage { return c.storages[name] }
-
 // CallContext is passed to contract methods.
 type CallContext struct {
-	Sender  Address
-	Value   uint64
-	Gas     *GasMeter
-	Store   *Storage
-	env     execEnv
-	name    string
-	logs    []Event
-	journal *journal
+	Sender Address
+	Value  uint64
+	Gas    *GasMeter
+	Store  *Storage
+	env    execEnv
+	name   string
+	logs   []Event
 }
 
 // Emit records an event, charging log gas.
@@ -243,20 +225,19 @@ func (ctx *CallContext) BlockNumber() uint64 { return ctx.env.blockNumber() }
 // CallContract performs a gas-metered cross-contract call. The callee sees
 // this contract's escrow address as the sender; its storage shares the
 // caller's gas meter, and its events are folded into the outer receipt.
-// A failing sub-call propagates its error, and the chain rolls back every
-// contract's state when the outer call reverts.
+// A failing sub-call propagates its error, and a revert of the outer call
+// rolls back the state of every contract the call reached.
 func (ctx *CallContext) CallContract(name, method string, args []byte) ([]byte, error) {
 	callee, ok := ctx.env.getContract(name)
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownContract, name)
 	}
 	sub := &CallContext{
-		Sender:  contractAddress(ctx.name),
-		Gas:     ctx.Gas,
-		Store:   ctx.env.storeFor(name).metered(ctx.Gas, ctx.journal),
-		env:     ctx.env,
-		name:    name,
-		journal: ctx.journal,
+		Sender: contractAddress(ctx.name),
+		Gas:    ctx.Gas,
+		Store:  ctx.env.storeFor(name).metered(ctx.Gas),
+		env:    ctx.env,
+		name:   name,
 	}
 	ret, err := callee.Call(sub, method, args)
 	ctx.logs = append(ctx.logs, sub.logs...)
@@ -309,8 +290,8 @@ type Chain struct {
 	sealHooks []func(Block, []*Receipt) // guarded by sealMu
 	sealMu    sync.Mutex
 
-	// execWorkers is the default worker count for batch execution
-	// (SubmitBatch, ImportBlock replay); 1 means serial. guarded by mu
+	// execWorkers is the worker count for batch execution (SubmitBatch,
+	// ImportBlock replay); 1 means one transaction at a time. guarded by mu
 	execWorkers int
 	// execStats aggregates parallel-engine counters; internally
 	// synchronized, see exec.Counters.
@@ -397,16 +378,6 @@ func (c *Chain) acct(a Address) *account {
 	return acc
 }
 
-func (c *Chain) transferLocked(from, to Address, amount uint64) error {
-	f := c.acct(from)
-	if f.balance < amount {
-		return fmt.Errorf("%w: %d < %d", ErrInsufficientFund, f.balance, amount)
-	}
-	f.balance -= amount
-	c.acct(to).balance += amount
-	return nil
-}
-
 // Deploy registers a contract under a unique name, charging deployment gas
 // proportional to the (approximated Solidity byte-) code size.
 func (c *Chain) Deploy(name string, contract Contract, codeSize int) (uint64, error) {
@@ -429,107 +400,19 @@ func (c *Chain) Deploy(name string, contract Contract, codeSize int) (uint64, er
 func (c *Chain) Submit(tx Transaction) (*Receipt, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.submitLocked(tx)
+	eff := c.execTxLocked(tx, uint64(len(c.blocks)))
+	return eff.receipt, eff.goErr
 }
 
-// submitLocked is Submit's body; caller holds c.mu. ImportBlock replays
-// remote transactions through the same path so every node runs the
-// identical state machine.
-func (c *Chain) submitLocked(tx Transaction) (*Receipt, error) {
-	sender := c.acct(tx.From)
-	if tx.Nonce != sender.nonce {
-		return nil, fmt.Errorf("%w: got %d, want %d", ErrBadNonce, tx.Nonce, sender.nonce)
-	}
-	if tx.GasLimit == 0 {
-		tx.GasLimit = DefaultGasLimit
-	}
-	txHash := tx.hash()
-	receipt := &Receipt{TxHash: txHash}
-	gas := NewGasMeter(tx.GasLimit)
-	// Intrinsic gas.
-	if err := gas.Charge(GasTxBase + uint64(len(tx.Args))*GasCalldataByte); err != nil {
-		return nil, err
-	}
-
-	sender.nonce++
-
-	if tx.Contract == "" {
-		// Plain value transfer — tx.Method/Args ignored.
-		if tx.Value > 0 && tx.To == (Address{}) {
-			sender.nonce--
-			return nil, ErrNoRecipient
-		}
-		if err := c.transferLocked(tx.From, tx.To, tx.Value); err != nil {
-			sender.nonce--
-			return nil, err
-		}
-		receipt.GasUsed = gas.Used()
-		c.commitTx(tx, txHash, receipt)
-		return receipt, nil
-	}
-
-	contract, ok := c.contracts[tx.Contract]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrUnknownContract, tx.Contract)
-	}
-	store := c.storages[tx.Contract]
-	// A write journal captures the pre-image of every mutated slot across
-	// all contracts reached by the call, and the balances it moves, so a
-	// revert undoes exactly what the transaction touched.
-	j := &journal{}
-	balSnapshot := c.balancesSnapshot()
-
-	// Move value into the contract escrow before the call.
-	if tx.Value > 0 {
-		if err := c.transferLocked(tx.From, contractAddress(tx.Contract), tx.Value); err != nil {
-			sender.nonce--
-			return nil, err
-		}
-	}
-
-	ctx := &CallContext{
-		Sender:  tx.From,
-		Value:   tx.Value,
-		Gas:     gas,
-		Store:   store.metered(gas, j),
-		env:     c,
-		name:    tx.Contract,
-		journal: j,
-	}
-	ret, err := contract.Call(ctx, tx.Method, tx.Args)
-	receipt.GasUsed = gas.Used()
-	if err != nil {
-		j.revert()
-		c.restoreBalances(balSnapshot)
-		sender.nonce = tx.Nonce + 1 // nonce still advances on revert
-		receipt.Err = fmt.Errorf("%w: %s.%s: %w", ErrReverted, tx.Contract, tx.Method, err)
-	} else {
-		receipt.Return = ret
-		receipt.Logs = ctx.logs
-	}
-	c.commitTx(tx, txHash, receipt)
-	return receipt, nil
-}
-
-// balancesSnapshot copies every account balance; caller holds c.mu.
-func (c *Chain) balancesSnapshot() map[Address]uint64 {
-	snap := make(map[Address]uint64, len(c.accounts))
-	for a, acc := range c.accounts {
-		snap[a] = acc.balance
-	}
-	return snap
-}
-
-// restoreBalances rolls balances back to a snapshot; caller holds c.mu.
-func (c *Chain) restoreBalances(snap map[Address]uint64) {
-	for a, bal := range snap {
-		c.acct(a).balance = bal
-	}
-	for a := range c.accounts {
-		if _, ok := snap[a]; !ok {
-			c.accounts[a].balance = 0
-		}
-	}
+// execTxLocked executes one transaction against live state at the given
+// block height and applies its surviving effects; caller holds c.mu. It is
+// the chain's single state machine: Submit, width-1 batches, and the commit
+// phase of wider batches (and so ImportBlock replay) all execute through
+// it, and speculation runs the same runTx over a group overlay.
+func (c *Chain) execTxLocked(tx Transaction, blockNum uint64) *txEffects {
+	eff := c.newTxView(nil, blockNum).runTx(tx)
+	c.applyEffectsLocked(eff)
+	return eff
 }
 
 // commitTx records a processed transaction's body and receipt, queues it

@@ -235,7 +235,7 @@ func TestReceiptLookup(t *testing.T) {
 
 func TestStorageGasCosts(t *testing.T) {
 	gas := NewGasMeter(1_000_000)
-	s := NewStorage().metered(gas, &journal{})
+	s := NewStorage().metered(gas)
 	if err := s.Set("k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}

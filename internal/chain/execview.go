@@ -7,11 +7,13 @@ import (
 	"github.com/zkdet/zkdet/internal/chain/exec"
 )
 
-// This file is the state-view half of the parallel batch executor (see
-// batch.go for the engine): a txView is an execEnv that runs one
-// transaction against committed chain state through a speculative overlay,
-// capturing the exact read and write sets as it goes. Resources are the
-// opaque strings the exec package schedules and validates on.
+// This file is the chain's transaction state machine: a txView is the
+// execEnv one transaction runs against — committed chain state behind a
+// buffering overlay (plus, during batch speculation, the overlay of the
+// earlier members of its group) — capturing the exact read and write sets
+// as it goes. Every execution goes through runTx; applyEffectsLocked then
+// commits what survives. Resources are the opaque strings the exec package
+// schedules and validates on.
 
 // Resource names. Storage slots, balances and nonces live in disjoint
 // namespaces; the separators cannot occur in contract names (and key
@@ -333,8 +335,8 @@ func (x *txAccounts) credit(a Address, amount uint64) {
 	}
 }
 
-// transferValue mirrors Chain.transferLocked (same error text: receipts
-// embed it) against the overlay.
+// transferValue moves native value between accounts in the overlay. Its
+// error text is consensus-visible: receipts embed it.
 func (x *txAccounts) transferValue(from, to Address, amount uint64) error {
 	b := x.balance(from)
 	if b < amount {
@@ -345,8 +347,8 @@ func (x *txAccounts) transferValue(from, to Address, amount uint64) error {
 	return nil
 }
 
-// txView is the execEnv one batched transaction executes against: account
-// and storage overlays over committed chain state (plus the group overlay
+// txView is the execEnv a transaction executes against: account and
+// storage overlays over committed chain state (plus the group overlay
 // during speculation), with full read/write capture.
 type txView struct {
 	c        *Chain
@@ -359,8 +361,8 @@ type txView struct {
 }
 
 // newTxView returns a view over the chain's committed state; caller holds
-// c.mu (the engine holds it for the whole batch). grp is nil for
-// commit-time execution.
+// c.mu (the batch engine holds it for the whole batch). grp is nil for
+// execution against live state.
 func (c *Chain) newTxView(grp *groupState, blockNum uint64) *txView {
 	rec := newRecorder()
 	return &txView{
@@ -374,7 +376,7 @@ func (c *Chain) newTxView(grp *groupState, blockNum uint64) *txView {
 	}
 }
 
-// blockNumber implements execEnv; the whole batch runs at one height.
+// blockNumber implements execEnv; a whole batch runs at one height.
 func (v *txView) blockNumber() uint64 { return v.blockNum }
 
 func (v *txView) transferValue(from, to Address, amount uint64) error {
@@ -415,7 +417,7 @@ func (v *txView) storeFor(name string) *Storage {
 }
 
 // keepLevel says which of a transaction's buffered effects survive, per
-// submitLocked's outcome paths.
+// runTx's outcome paths.
 type keepLevel uint8
 
 const (
@@ -438,11 +440,12 @@ type txEffects struct {
 	writes  []string
 }
 
-// runTx executes one transaction against the view, mirroring
-// submitLocked's observable semantics path for path — same receipts, gas,
-// error strings, and net state effects. The one behavioral quirk
-// (submitLocked leaves the sender nonce advanced on the unknown-contract
-// error) is replicated, not fixed: import replay must stay bit-identical.
+// runTx executes one transaction against the view. Its receipts, gas,
+// error strings and net state effects are the chain's consensus rules; the
+// reference model in refmodel_test.go restates them independently. One
+// quirk is kept, not fixed: a call to an unknown contract returns a Go
+// error yet still advances the sender nonce, because replay of existing
+// chains must stay bit-identical.
 func (v *txView) runTx(tx Transaction) *txEffects {
 	eff := &txEffects{view: v, tx: tx, keep: keepNothing}
 	senderNonce := v.accts.nonce(tx.From)
@@ -496,7 +499,7 @@ func (v *txView) runTx(tx Transaction) *txEffects {
 		Sender: tx.From,
 		Value:  tx.Value,
 		Gas:    gas,
-		Store:  v.storeFor(tx.Contract).metered(gas, nil),
+		Store:  v.storeFor(tx.Contract).metered(gas),
 		env:    v,
 		name:   tx.Contract,
 	}

@@ -190,11 +190,11 @@ func (c *Chain) ImportBlock(b Block, txs []Transaction) ([]*Receipt, error) {
 	}
 
 	snap := c.snapshotLocked()
-	// Replay through the batch engine (serial when execWorkers is 1) —
-	// identical outcomes to the Submit path by the engine's bit-identity
-	// contract. A failed transaction aborts the import; transactions the
-	// batch executed after it are rolled back with everything else.
-	outcomes := c.submitBatchLocked(txs, c.execWorkers)
+	// Replay through the batch engine — identical outcomes to the Submit
+	// path by the engine's bit-identity contract. A failed transaction
+	// aborts the import; transactions the batch executed after it are
+	// rolled back with everything else.
+	outcomes := c.submitBatchLocked(txs)
 	receipts := make([]*Receipt, len(txs))
 	for i := range outcomes {
 		if err := outcomes[i].Err; err != nil {

@@ -9,68 +9,30 @@ import (
 // through a gas-metered view; values are opaque byte strings and an absent
 // or empty value is the "zero" slot of the EVM cost model.
 //
-// A Storage is one of three shapes:
+// A Storage is one of two shapes, either of which metered wraps in a view
+// that charges a gas meter and shares the underlying data:
 //
 //   - the root store (held in Chain.storages): owns the data map and the
-//     cached digest,
-//   - a metered view (metered): shares the root's data, charges a gas
-//     meter, journals writes, and invalidates the root's digest cache, or
-//   - an overlay view (ov != nil): used by the parallel executor; reads
-//     and writes are redirected to a speculative overlay (see execview.go)
-//     and never touch the root data until the engine commits them.
+//     cached digest, or
+//   - an overlay view (ov != nil): what transactions execute against;
+//     reads and writes are redirected to a speculative overlay (see
+//     execview.go) and never touch the root data until the chain applies
+//     the transaction's effects.
 type Storage struct {
 	data map[string][]byte
-	gas  *GasMeter // nil on the root store; set on metered views
-	jrnl *journal  // write journal for transaction rollback (metered views)
-	ov   *storeOverlay // speculative overlay; nil outside parallel execution
+	gas  *GasMeter     // nil on the root store; set on metered views
+	ov   *storeOverlay // transaction overlay; nil on the root store
 
 	// rootRef points from a metered view back to the root store so writes
 	// through the view can invalidate the digest cache; nil on the root.
 	rootRef *Storage
 
 	// Cached content digest, maintained on the root store only. Every
-	// mutation path (Set, Delete, journal revert, snapshot restore, batch
-	// commit) goes through invalidate(), which keeps the state root
+	// mutation path (Set, Delete, snapshot restore, effect application)
+	// goes through invalidate(), which keeps the state root
 	// O(touched contracts) per seal instead of O(total slots).
 	dig   [32]byte
 	digOK bool
-}
-
-// journal records pre-images of mutated slots so a reverted transaction can
-// undo exactly what it touched (instead of snapshotting the whole state).
-type journal struct {
-	entries []journalEntry
-}
-
-type journalEntry struct {
-	store   *Storage
-	key     string
-	old     []byte
-	existed bool
-}
-
-func (j *journal) record(s *Storage, key string) {
-	old, existed := s.data[key]
-	var cp []byte
-	if existed {
-		cp = make([]byte, len(old))
-		copy(cp, old)
-	}
-	j.entries = append(j.entries, journalEntry{store: s, key: key, old: cp, existed: existed})
-}
-
-// revert undoes every write, newest first.
-func (j *journal) revert() {
-	for i := len(j.entries) - 1; i >= 0; i-- {
-		e := j.entries[i]
-		if e.existed {
-			e.store.data[e.key] = e.old
-		} else {
-			delete(e.store.data, e.key)
-		}
-		e.store.invalidate()
-	}
-	j.entries = nil
 }
 
 // NewStorage returns an empty store.
@@ -78,10 +40,10 @@ func NewStorage() *Storage {
 	return &Storage{data: make(map[string][]byte)}
 }
 
-// metered returns a view that charges the given meter and journals writes.
-// The view shares the underlying data (or, on an overlay view, the overlay).
-func (s *Storage) metered(gas *GasMeter, j *journal) *Storage {
-	return &Storage{data: s.data, gas: gas, jrnl: j, ov: s.ov, rootRef: s.root()}
+// metered returns a view that charges the given meter. The view shares the
+// underlying data (or, on an overlay view, the overlay).
+func (s *Storage) metered(gas *GasMeter) *Storage {
+	return &Storage{data: s.data, gas: gas, ov: s.ov, rootRef: s.root()}
 }
 
 // root resolves the digest-cache owner of this view.
@@ -154,9 +116,6 @@ func (s *Storage) Set(key string, value []byte) error {
 		s.ov.set(key, value)
 		return nil
 	}
-	if s.jrnl != nil {
-		s.jrnl.record(s, key)
-	}
 	out := make([]byte, len(value))
 	copy(out, value)
 	s.data[key] = out
@@ -174,9 +133,6 @@ func (s *Storage) Delete(key string) error {
 	if s.ov != nil {
 		s.ov.del(key)
 		return nil
-	}
-	if s.jrnl != nil {
-		s.jrnl.record(s, key)
 	}
 	delete(s.data, key)
 	s.invalidate()

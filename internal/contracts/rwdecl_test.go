@@ -60,7 +60,7 @@ func exchangeWorld(t *testing.T, n int) (*chain.Chain, []chain.Address, func(id 
 
 // TestParallelBatchExchangeIdentity runs the paper's exchange workload —
 // mints, transfers, approvals, escrow opens and settles, auction listings
-// and bids — through SubmitBatch on one chain and the serial path on
+// and bids — through SubmitBatch at width 8 on one chain and width 1 on
 // another, and requires identical receipts, blocks and state. This is the
 // real-contract counterpart of the chain package's randomized property
 // test, exercising the DeclareRW implementations above.
@@ -68,6 +68,7 @@ func TestParallelBatchExchangeIdentity(t *testing.T) {
 	const nTraders = 6
 	serialC, traders, settleArgs := exchangeWorld(t, nTraders)
 	parC, _, _ := exchangeWorld(t, nTraders) // same τ/SRS: both chains accept the same proof bytes
+	parC.SetExecWorkers(8)
 
 	nonces := make(map[chain.Address]uint64)
 	mkTx := func(from chain.Address, contract, method string, value uint64, args []byte) chain.Transaction {
@@ -86,8 +87,8 @@ func TestParallelBatchExchangeIdentity(t *testing.T) {
 
 	runRound := func(round int, txs []chain.Transaction) {
 		t.Helper()
-		serialOut := serialC.SubmitBatch(txs, 1)
-		parOut := parC.SubmitBatch(txs, 8)
+		serialOut := serialC.SubmitBatch(txs)
+		parOut := parC.SubmitBatch(txs)
 		for i := range txs {
 			s, p := serialOut[i], parOut[i]
 			if (s.Err == nil) != (p.Err == nil) ||
@@ -183,6 +184,7 @@ func TestParallelBatchExchangeIdentity(t *testing.T) {
 func TestVerifierSerialOnlyPreservesPreverification(t *testing.T) {
 	ps := testProofSystem()
 	c := chain.New()
+	c.SetExecWorkers(4)
 	v := NewVerifier(ps.vk)
 	if _, err := c.Deploy("verifier", v, VerifierCodeSize); err != nil {
 		t.Fatal(err)
@@ -203,7 +205,7 @@ func TestVerifierSerialOnlyPreservesPreverification(t *testing.T) {
 	for i, s := range senders {
 		txs[i] = chain.Transaction{From: s, Contract: "verifier", Method: "verify", Args: verifyArgs, Nonce: 0}
 	}
-	out := c.SubmitBatch(txs, 4)
+	out := c.SubmitBatch(txs)
 	for i, o := range out {
 		if o.Err != nil || o.Receipt.Err != nil {
 			t.Fatalf("tx %d: %v %v", i, o.Err, o.Receipt.Err)

@@ -52,8 +52,8 @@ type Config struct {
 	SealVerifier SealVerifier
 	// ExecWorkers sets the chain's parallel execution width for block
 	// batches (chain.SubmitBatch) — both locally produced and imported
-	// blocks. 0 sizes it to the machine (parallel.Workers); 1 forces the
-	// serial reference path.
+	// blocks. 0 sizes it to the machine (parallel.Workers); 1 executes
+	// each batch one transaction at a time.
 	ExecWorkers int
 }
 
@@ -292,14 +292,15 @@ func (n *Node) executeBatch(batch []*poolTx) []executedTx {
 		n.proofsEvicted += uint64(evicted)
 		n.mu.Unlock()
 	}
-	// Execute the whole batch through the parallel engine (serial for
-	// small batches or ExecWorkers == 1); outcomes are bit-identical to a
-	// per-transaction Submit loop by the engine's identity contract.
+	// Execute the whole batch through the parallel engine at the chain's
+	// width (one transaction at a time for small batches or ExecWorkers ==
+	// 1); outcomes are bit-identical to a per-transaction Submit loop by
+	// the engine's identity contract.
 	txs := make([]chain.Transaction, len(execBatch))
 	for i, ptx := range execBatch {
 		txs[i] = ptx.tx
 	}
-	outcomes := n.chain.SubmitBatch(txs, n.cfg.ExecWorkers)
+	outcomes := n.chain.SubmitBatch(txs)
 	executed := make([]executedTx, 0, len(execBatch))
 	for i, ptx := range execBatch {
 		executed = append(executed, executedTx{ptx: ptx, receipt: outcomes[i].Receipt, err: outcomes[i].Err})
